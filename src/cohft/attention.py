@@ -122,38 +122,55 @@ def tokenize(x, weights: AttentionWeights, cfg: AttentionConfig, which):
     return T.unfold(y, cfg.p)
 
 
+def _swap_last(x):
+    nb = x.ndim - 2
+    return T.transpose(x, tuple(range(nb)) + (nb + 1, nb))
+
+
 def intra_head_correlation(q, k):
-    """Row-stochastic token affinity: softmax_j(q_i . k_j / sqrt(d'))."""
+    """Row-stochastic token affinity: softmax_j(q_i . k_j / sqrt(d')).
+
+    q [.., N, d'] and k [.., N', d'] give [.., N, N'].
+    """
     d_prime = q.shape[-1]
-    logits = T.einsum("nd,md->nm", q, k)
-    return T.softmax(logits * (1.0 / np.sqrt(d_prime)), axis=-1)
+    return T.softmax(T.matmul(q, _swap_last(k)) * (1.0 / np.sqrt(d_prime)), axis=-1)
 
 
 def renew_values(s, v):
     """Each output row is the s-weighted combination of value rows."""
-    return T.einsum("nm,md->nd", s, v)
+    return T.matmul(s, v)
 
 
-def _stack_heads(vhats):
-    return T.concat([T.reshape(v, (1,) + tuple(v.shape)) for v in vhats], axis=0)
+def head_affinity(vt):
+    """Per-token head-to-head affinity: [.., N, M, d'] -> [.., N, M, M]; unscaled logits."""
+    return T.softmax(T.matmul(vt, _swap_last(vt)), axis=-1)
+
+
+def remix_heads(vt, a):
+    """u^(m)_n = sum_j (1 + A[n,m,j]) vhat^(j)_n on [.., N, M, d'] tokens."""
+    return T.matmul(a, vt) + T.tsum(vt, axis=-2, keepdims=True)
+
+
+def _heads_by_token(vhats):
+    # M tensors [N, d'] -> [N, M, d']
+    v = T.concat([T.reshape(v, (1,) + tuple(v.shape)) for v in vhats], axis=0)
+    return T.transpose(v, (1, 0, 2))
 
 
 def inter_head_correlation(vhats):
-    """Per-token head-to-head affinity [N, M, M]; logits are unscaled dot products."""
-    v = _stack_heads(vhats)  # [M, N, d']
-    logits = T.einsum("ind,jnd->nij", v, v)
-    return T.softmax(logits, axis=-1)
+    """Per-token head-to-head affinity [N, M, M] of M heads [N, d']."""
+    return head_affinity(_heads_by_token(vhats))
 
 
 def mix_heads(vhats, a):
-    """u^(m)_n = sum_j (1 + A[n,m,j]) vhat^(j)_n; returns M tensors [N, d']."""
-    v = _stack_heads(vhats)  # [M, N, d']
-    mixed = T.einsum("nmj,jnd->mnd", a, v) + T.tsum(v, axis=0, keepdims=True)
-    return [T.take0(mixed, m) for m in range(v.shape[0])]
+    """Inter-head remix of M heads [N, d'] by a [N, M, M]; returns M tensors [N, d']."""
+    mixed = T.transpose(remix_heads(_heads_by_token(vhats), a), (1, 0, 2))  # [M, N, d']
+    return [T.take0(mixed, m) for m in range(len(vhats))]
 
 
 def _heads_linear(tokens, w, b):
-    # tokens [.., N, D], w [M, D, d'], b [M, d'] -> [.., M, N, d']
+    # tokens [.., N, D], w [M, D, d'], b [M, d'] -> [.., M, N, d']; one BLAS
+    # contraction over D for all heads
     proj = T.einsum("...nd,mde->...mne", tokens, w)
     return proj + T.reshape(b, (b.shape[0], 1, b.shape[1]))
 
@@ -173,18 +190,11 @@ def basic_attention(x1, x2, weights: AttentionWeights, cfg: AttentionConfig,
     q = _heads_linear(t1, weights.wq, weights.bq)
     k = _heads_linear(t2, weights.wk, weights.bk)
     v = _heads_linear(t2, weights.wv, weights.bv)
-    s = T.softmax(T.einsum("...mne,...mke->...mnk", q, k) * (1.0 / np.sqrt(cfg.d_prime)),
-                  axis=-1)
-    vhat = T.einsum("...mnk,...mke->...mne", s, v)
+    vhat = renew_values(intra_head_correlation(q, k), v)  # [.., M, N, d']
+    nb = vhat.ndim - 3
+    vt = T.transpose(vhat, tuple(range(nb)) + (nb + 1, nb, nb + 2))  # [.., N, M, d']
     if use_inter_head:
-        logits = T.einsum("...ine,...jne->...nij", vhat, vhat)
-        a = T.softmax(logits, axis=-1)
-        mixed = T.einsum("...nmj,...jne->...mne", a, vhat) + T.tsum(vhat, axis=-3, keepdims=True)
-    else:
-        mixed = vhat
-    nb = mixed.ndim - 3
-    perm = tuple(range(nb)) + (nb + 1, nb, nb + 2)
-    tokens_out = T.transpose(mixed, perm)  # [.., N, M, d']
-    tokens_out = T.reshape(tokens_out, tokens_out.shape[:-2] + (cfg.d * cfg.p * cfg.p,))
+        vt = remix_heads(vt, head_affinity(vt))
+    tokens_out = T.reshape(vt, vt.shape[:-2] + (cfg.d * cfg.p * cfg.p,))
     folded = T.fold(tokens_out, cfg.p, h1, w1)
     return x1 + T.conv2d(folded, weights.out_w, weights.out_b, stride=1, pad=1)

@@ -33,11 +33,15 @@ def _encode(arr: np.ndarray) -> bytes:
 def _decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     if buf[offset:offset + 4] != MAGIC:
         raise FormatError("bad magic bytes")
+    if offset + 8 > len(buf):
+        raise FormatError("truncated header")
     version, code, ndim = struct.unpack_from("<HBB", buf, offset + 4)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
     if code not in _DTYPES:
         raise FormatError(f"unknown dtype code {code}")
+    if offset + 8 + 4 * ndim > len(buf):
+        raise FormatError("truncated header")
     shape = struct.unpack_from(f"<{ndim}I", buf, offset + 8)
     dtype = _DTYPES[code]
     start = offset + 8 + 4 * ndim
@@ -79,8 +83,12 @@ def load_container(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     offset = 0
     while offset < len(buf):
+        if offset + 2 > len(buf):
+            raise FormatError("truncated entry name length")
         (nlen,) = struct.unpack_from("<H", buf, offset)
         offset += 2
+        if offset + nlen > len(buf):
+            raise FormatError("truncated entry name")
         name = buf[offset:offset + nlen].decode("utf-8")
         offset += nlen
         arr, offset = _decode(buf, offset)

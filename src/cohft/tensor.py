@@ -8,6 +8,8 @@ leading batch axes.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
@@ -249,21 +251,24 @@ def square(a):
 
 
 def _gelu_grad(x, phi):
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    # math.sqrt, not np.sqrt: a NumPy scalar would promote f32 arrays to f64
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return phi + x * pdf
 
 
 def gelu(a):
     """Exact-erf Gaussian error linear unit, x * Phi(x)."""
+    def phi_of(x):
+        return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
     ad = a.data
-    phi = 0.5 * (1.0 + erf(ad / np.sqrt(2.0)))
+    phi = phi_of(ad)
     out = ad * phi
 
     def bw(g):
         return (g * _gelu_grad(ad, phi),)
 
-    return _record("gelu", out, (a,), bw,
-                   lambda: a.data * (0.5 * (1.0 + erf(a.data / np.sqrt(2.0)))))
+    return _record("gelu", out, (a,), bw, lambda: a.data * phi_of(a.data))
 
 
 def sigmoid(a):
@@ -305,8 +310,9 @@ def tsum(a, axis=None, keepdims=False):
 
 def tmean(a, axis=None, keepdims=False):
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    denom = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
+    # a Python int, so that the gradient keeps the input's dtype
+    denom = a.data.size if axis is None else math.prod(
+        a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,)))
 
     def bw(g):
         if axis is None:
@@ -350,8 +356,10 @@ def einsum(subscripts, a, b):
     """Two-operand einsum with the transposed-subscript gradient rule.
 
     Every index of each operand must appear in the output or in the other
-    operand (no forward-summed singleton indices), which holds for all uses
-    in this package.
+    operand (no forward-summed singleton indices).  Forward and backward let
+    numpy hand the contraction to BLAS where the subscripts allow it; indices
+    shared by both operands and the output (a batch axis) do not, and such
+    contractions run faster through ``matmul``.
     """
     in_subs, out_sub = subscripts.split("->")
     sa, sb = in_subs.split(",")
@@ -359,28 +367,33 @@ def einsum(subscripts, a, b):
         for ch in sub.replace("...", ""):
             if ch not in out_sub and ch not in other:
                 raise ShapeError(f"einsum '{subscripts}': index '{ch}' is not differentiable here")
-    out = np.einsum(subscripts, a.data, b.data)
 
-    def grad_for(my_sub, my_shape, other_sub, other_data, g):
-        if "..." in my_sub:
-            return np.einsum(f"{out_sub},{other_sub}->{my_sub}", g, other_data)
-        res = np.einsum(f"{out_sub},{other_sub}->...{my_sub}", g, other_data)
-        extra = res.ndim - len(my_shape)
-        if extra:
-            res = res.sum(axis=tuple(range(extra)))
-        return res
+    def f(x, y):
+        return np.einsum(subscripts, x, y, optimize=True)
 
     def bw(g):
-        ga = grad_for(sa, a.data.shape, sb, b.data, g)
-        gb = grad_for(sb, b.data.shape, sa, a.data, g)
+        ga = np.einsum(f"{out_sub},{sb}->{sa}", g, b.data, optimize=True)
+        gb = np.einsum(f"{out_sub},{sa}->{sb}", g, a.data, optimize=True)
         return ga, gb
 
-    return _record("einsum:" + subscripts, out, (a, b), bw,
-                   lambda: np.einsum(subscripts, a.data, b.data))
+    return _record("einsum:" + subscripts, f(a.data, b.data), (a, b), bw,
+                   lambda: f(a.data, b.data))
 
 
 def matmul(a, b):
-    return einsum("ij,jk->ik", a, b)
+    """Matrix product over the last two axes; leading axes broadcast as in np.matmul."""
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ShapeError(f"matmul operands must be at least 2-D, got {ad.shape} and {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"matmul inner extents differ: {ad.shape} @ {bd.shape}")
+    out = np.matmul(ad, bd)
+
+    def bw(g):
+        return (_unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape),
+                _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape))
+
+    return _record("matmul", out, (a, b), bw, lambda: np.matmul(a.data, b.data))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +456,11 @@ def layer_norm(a, gain, shift):
 def conv2d(x, weights, bias, stride=1, pad=0):
     """Cross-correlation with zero padding; channel-last [.., h, w, c_in].
 
-    Weights are [k, k, c_in, c_out].  Requires k odd or stride == k, and
-    (h + 2 pad - k) divisible by stride.
+    Weights are [k, k, c_in, c_out].  Two cases are supported: stride 1 with
+    odd k, and stride == k with pad 0 (a patch embedding, h and w divisible
+    by k).  Neither keeps a patch matrix: stride 1 runs one GEMM per tap on a
+    row shift of the flattened padded input, stride == k one GEMM on a
+    space-to-depth view.  The backward recomputes both from the input.
     """
     wd = weights.data
     if wd.ndim != 4 or wd.shape[0] != wd.shape[1]:
@@ -455,46 +471,81 @@ def conv2d(x, weights, bias, stride=1, pad=0):
     h, w, cx = x.data.shape[-3:]
     if cx != c_in:
         raise ShapeError(f"conv2d channel mismatch: input has {cx}, weights expect {c_in}")
-    if k % 2 == 0 and stride != k:
-        raise ShapeError(f"conv2d requires odd kernel or stride==kernel, got k={k}, stride={stride}")
-    if (h + 2 * pad - k) % stride or (w + 2 * pad - k) % stride:
-        raise ShapeError(f"conv2d extents {h}x{w} with k={k}, pad={pad} not divisible by stride={stride}")
     if bias.data.shape != (c_out,):
         raise ShapeError(f"conv2d bias must have shape ({c_out},), got {bias.data.shape}")
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
     lead = x.data.shape[:-3]
+    if stride == 1 and k % 2:
+        hp, wp = h + 2 * pad, w + 2 * pad
+        if hp < k or wp < k:
+            raise ShapeError(f"conv2d extents {h}x{w} with pad={pad} smaller than k={k}")
+        ho, wo = hp - k + 1, wp - k + 1
+        # tap (i, j) reads the flattened padded rows shifted by i*wp + j; the
+        # last `reach` rows hold no valid output, which the crop discards
+        reach = (k - 1) * wp + k - 1
+        taps = [(i, j, i * wp + j) for i in range(k) for j in range(k)]
 
-    def im2col(xd):
-        pw = [(0, 0)] * len(lead) + [(pad, pad), (pad, pad), (0, 0)]
-        xp = np.pad(xd, pw)
-        cols = np.empty(lead + (ho, wo, k, k, c_in), dtype=xd.dtype)
-        for i in range(k):
-            for j in range(k):
-                cols[..., i, j, :] = xp[..., i:i + ho * stride:stride, j:j + wo * stride:stride, :]
-        return cols
+        def padded_rows(xd):
+            if pad:
+                xp = np.zeros(lead + (hp, wp, c_in), dtype=xd.dtype)
+                xp[..., pad:pad + h, pad:pad + w, :] = xd
+                xd = xp
+            return xd.reshape(-1, c_in)
 
-    cols = im2col(x.data)
-    out = np.tensordot(cols, wd, axes=([-3, -2, -1], [0, 1, 2])) + bias.data
+        def f(xd, wt, bs):
+            xf = padded_rows(xd)
+            n = xf.shape[0] - reach
+            acc = np.empty((xf.shape[0], c_out), dtype=np.result_type(xd, wt))
+            for t, (i, j, off) in enumerate(taps):
+                if t:
+                    acc[:n] += xf[off:off + n] @ wt[i, j]
+                else:
+                    np.matmul(xf[:n], wt[i, j], out=acc[:n])
+            return acc.reshape(lead + (hp, wp, c_out))[..., :ho, :wo, :] + bs
 
-    def bw(g):
+        def bw(g):
+            xf = padded_rows(x.data)
+            n = xf.shape[0] - reach
+            gz = g
+            if reach:
+                gz = np.zeros(lead + (hp, wp, c_out), dtype=g.dtype)
+                gz[..., :ho, :wo, :] = g
+            gf = gz.reshape(-1, c_out)[:n]
+            dw = np.empty(wd.shape, dtype=np.result_type(xf, gf))
+            dxf = np.zeros((xf.shape[0], c_in), dtype=g.dtype)
+            for i, j, off in taps:
+                dw[i, j] = xf[off:off + n].T @ gf
+                dxf[off:off + n] += gf @ wd[i, j].T
+            dx = dxf.reshape(lead + (hp, wp, c_in))[..., pad:pad + h, pad:pad + w, :]
+            return dx, dw, g.sum(axis=tuple(range(g.ndim - 1)))
+    elif stride == k and pad == 0:
+        if h % k or w % k:
+            raise ShapeError(f"conv2d extents {h}x{w} not divisible by stride=k={k}")
+        ho, wo = h // k, w // k
         nb = len(lead)
-        dw = np.tensordot(cols, g, axes=(list(range(nb + 2)), list(range(nb + 2))))
-        db = g.sum(axis=tuple(range(nb + 2)))
-        dcols = np.tensordot(g, wd, axes=([-1], [3]))
-        dxp = np.zeros(lead + (h + 2 * pad, w + 2 * pad, c_in), dtype=g.dtype)
-        for i in range(k):
-            for j in range(k):
-                dxp[..., i:i + ho * stride:stride, j:j + wo * stride:stride, :] += dcols[..., i, j, :]
-        if pad:
-            dxp = dxp[..., pad:-pad, pad:-pad, :]
-        return dxp, dw, db
+        perm = tuple(range(nb)) + (nb, nb + 2, nb + 1, nb + 3, nb + 4)
+        inv = tuple(np.argsort(perm))
 
-    def recompute():
-        return np.tensordot(im2col(x.data), weights.data,
-                            axes=([-3, -2, -1], [0, 1, 2])) + bias.data
+        def depth_rows(xd):
+            blocks = xd.reshape(lead + (ho, k, wo, k, c_in)).transpose(perm)
+            return blocks.reshape(-1, k * k * c_in)
 
-    return _record("conv2d", out, (x, weights, bias), bw, recompute)
+        def f(xd, wt, bs):
+            out = depth_rows(xd) @ wt.reshape(k * k * c_in, c_out)
+            return out.reshape(lead + (ho, wo, c_out)) + bs
+
+        def bw(g):
+            gf = g.reshape(-1, c_out)
+            dw = (depth_rows(x.data).T @ gf).reshape(wd.shape)
+            dcols = (gf @ wd.reshape(k * k * c_in, c_out).T).reshape(lead + (ho, wo, k, k, c_in))
+            dx = dcols.transpose(inv).reshape(x.data.shape)
+            return dx, dw, g.sum(axis=tuple(range(g.ndim - 1)))
+    else:
+        raise ShapeError(f"conv2d supports stride 1 with odd k, or stride == k with pad 0; "
+                         f"got k={k}, stride={stride}, pad={pad}")
+
+    out = f(x.data, wd, bias.data)
+    return _record("conv2d", out, (x, weights, bias), bw,
+                   lambda: f(x.data, weights.data, bias.data))
 
 
 # ---------------------------------------------------------------------------

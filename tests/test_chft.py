@@ -74,3 +74,25 @@ def test_trailing_bytes(tmp_path):
 def test_unsupported_dtype(tmp_path):
     with pytest.raises(chft.FormatError):
         chft.save_tensor(tmp_path / "h.chft", np.zeros(3, dtype=np.int32))
+
+
+@pytest.mark.parametrize("raw", [
+    b"CHFT\x01\x00",                                   # cut inside the fixed header
+    b"CHFT\x01\x00\x00\x02\x02\x00",                   # 10 bytes: cut inside the extents
+])
+def test_truncated_header(tmp_path, raw):
+    path = tmp_path / "i.chft"
+    path.write_bytes(raw)
+    with pytest.raises(chft.FormatError, match="truncated header"):
+        chft.load_tensor(path)
+
+
+def test_container_cut_inside_entry_name(tmp_path):
+    path = tmp_path / "j.chft"
+    chft.save_container(path, [("alpha", np.ones(2)), ("beta.long.name", np.ones(3))])
+    raw = path.read_bytes()
+    cut = raw.index(b"beta.long") + 4
+    for end in (cut, raw.index(b"beta.long") - 1):  # inside the name; inside its length
+        path.write_bytes(raw[:end])
+        with pytest.raises(chft.FormatError, match="truncated entry name"):
+            chft.load_container(path)

@@ -45,6 +45,17 @@ def test_train_writes_log_and_checkpoint(tmp_path):
     assert (out / "checkpoint.chft").exists()
 
 
+def test_f32_train_writes_f32_checkpoint(tmp_path):
+    # the first step's update must not promote parameters, so step 2 runs in f32 too
+    data, out = gen(tmp_path)
+    rc = run(["--set", f"data_dir={data}", "--set", "steps=2", "--set", "batch_size=2",
+              "--set", "precision=f32", "--out", str(out), "--seed", "0", "train"])
+    assert rc == 0
+    saved = chft.load_container(out / "checkpoint.chft")
+    assert saved and {name: arr.dtype for name, arr in saved.items()} == \
+        {name: np.dtype(np.float32) for name in saved}
+
+
 def test_zero_epoch_checkpoint_equals_init(tmp_path):
     data, out = gen(tmp_path)
     rc = run(["--set", f"data_dir={data}", "--set", "epochs=0",

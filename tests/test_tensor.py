@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,9 @@ def test_gelu_matches_exact_form():
     assert np.allclose(got, want, atol=1e-12)
     xt = Tensor(x, requires_grad=True)
     assert_grads_match(lambda: T.tsum(T.gelu(xt)), xt, rng)
+    x32 = Tensor(x.astype(np.float32), requires_grad=True)
+    assert T.gelu(x32).dtype == np.float32
+    assert grad_of(lambda: T.tsum(T.gelu(x32)), x32).dtype == np.float32
 
 
 def test_sigmoid_leaky_relu():
@@ -90,6 +95,8 @@ def test_sum_mean_axes():
     assert T.tsum(Tensor(x), axis=0, keepdims=True).shape == (1, 4, 5)
     xt = Tensor(x, requires_grad=True)
     assert_grads_match(lambda: T.tsum(T.square(T.tmean(xt, axis=2))), xt, rng)
+    x32 = Tensor(x.astype(np.float32), requires_grad=True)
+    assert grad_of(lambda: T.tsum(T.tmean(x32, axis=(0, 1))), x32).dtype == np.float32
 
 
 def test_reshape_transpose_concat():
@@ -132,6 +139,32 @@ def test_matmul():
     b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     assert np.allclose(T.matmul(a, b).data, a.data @ b.data)
     assert_grads_match(lambda: T.tsum(T.square(T.matmul(a, b))), a, rng)
+    assert_grads_match(lambda: T.tsum(T.square(T.matmul(a, b))), b, rng)
+
+
+def test_matmul_broadcasts_head_weights_over_tokens():
+    # a per-head weight [M, D, e] against tokens [.., 1, N, D] gives [.., M, N, e]
+    rng = np.random.default_rng(8)
+    tok = Tensor(rng.standard_normal((6, 1, 4, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+    out = T.matmul(tok, w)
+    assert out.shape == (6, 2, 4, 5)
+    assert np.allclose(out.data, np.einsum("bnd,mde->bmne", tok.data[:, 0], w.data))
+    def loss():
+        return T.tsum(T.square(T.matmul(tok, w)))
+    assert grad_of(loss, w).shape == (2, 3, 5)
+    assert grad_of(loss, tok).shape == (6, 1, 4, 3)
+    assert_grads_match(loss, tok, rng)
+    assert_grads_match(loss, w, rng)
+
+
+def test_matmul_shape_errors():
+    with pytest.raises(ShapeError):
+        T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+    with pytest.raises(ShapeError):
+        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
 def test_softmax_rows_shift_and_overflow():
@@ -176,19 +209,31 @@ def conv_oracle(x, w, b, stride, pad):
     return out
 
 
+# (k, stride, pad) of every conv the model runs: 1x1 (MLP, token embedding,
+# AdaIN expand), 3x3 (RRDB trunk, gates, attention output), 11x11 (SSIM blur),
+# 2x2 stride 2 (reference embedding at rho = 2)
+CONV_CASES = [(1, 1, 0), (3, 1, 1), (11, 1, 0), (2, 2, 0)]
+CONV_TOL = {np.float64: 1e-12, np.float32: 1e-4}
+
+
+def conv_inputs(k, lead, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(lead + (12, 14, 3)).astype(dtype), requires_grad=True)
+    w = Tensor(rng.standard_normal((k, k, 3, 2)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.standard_normal(2).astype(dtype), requires_grad=True)
+    return x, w, b
+
+
 def test_conv2d_matches_oracle():
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal((7, 9, 3))
-    w = rng.standard_normal((3, 3, 3, 5))
-    b = rng.standard_normal(5)
-    got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, pad=1).data
-    assert np.allclose(got, conv_oracle(x, w, b, 1, 1), atol=1e-12)
-    # strided patch embedding: k == stride, no padding
-    x2 = rng.standard_normal((8, 8, 2))
-    w2 = rng.standard_normal((2, 2, 2, 4))
-    b2 = rng.standard_normal(4)
-    got2 = T.conv2d(Tensor(x2), Tensor(w2), Tensor(b2), stride=2, pad=0).data
-    assert np.allclose(got2, conv_oracle(x2, w2, b2, 2, 0), atol=1e-12)
+    # one test over all cases (not pytest-parametrized) keeps its test id
+    for (k, stride, pad), lead, dtype in itertools.product(CONV_CASES, [(), (2,)], CONV_TOL):
+        x, w, b = conv_inputs(k, lead, dtype, 12)
+        got = T.conv2d(x, w, b, stride=stride, pad=pad).data
+        assert got.dtype == dtype
+        xs = x.data.reshape((-1,) + x.shape[-3:])
+        want = np.stack([conv_oracle(xi.astype(np.float64), w.data.astype(np.float64),
+                                     b.data.astype(np.float64), stride, pad) for xi in xs])
+        assert np.allclose(got.reshape(want.shape), want, rtol=0, atol=CONV_TOL[dtype])
 
 
 def test_conv2d_batched_equals_loop():
@@ -204,14 +249,21 @@ def test_conv2d_batched_equals_loop():
 
 def test_conv2d_gradients():
     rng = np.random.default_rng(14)
-    x = Tensor(rng.standard_normal((5, 5, 2)), requires_grad=True)
-    w = Tensor(rng.standard_normal((3, 3, 2, 3)), requires_grad=True)
-    b = Tensor(rng.standard_normal(3), requires_grad=True)
-    def loss():
-        return T.tsum(T.square(T.conv2d(x, w, b, stride=1, pad=1)))
-    assert_grads_match(loss, x, rng)
-    assert_grads_match(loss, w, rng)
-    assert_grads_match(loss, b, rng)
+    for (k, stride, pad), lead in itertools.product(CONV_CASES, [(), (2,)]):
+        x, w, b = conv_inputs(k, lead, np.float64, 14)
+        def loss():
+            return T.tsum(T.square(T.conv2d(x, w, b, stride=stride, pad=pad)))
+        for t in (x, w, b):
+            assert_grads_match(loss, t, rng)
+        # f32 keeps its dtype and agrees with the finite-difference-checked f64 gradient
+        x32, w32, b32 = (Tensor(t.data.astype(np.float32), requires_grad=True) for t in (x, w, b))
+        with Tape() as tape:
+            loss32 = T.tsum(T.square(T.conv2d(x32, w32, b32, stride=stride, pad=pad)))
+        grads32 = backward(loss32, tape)
+        for t, t32 in ((x, x32), (w, w32), (b, b32)):
+            g64, g32 = grad_of(loss, t), grads32[t32]
+            assert g32.dtype == np.float32
+            assert np.allclose(g32, g64, rtol=1e-4, atol=1e-4 * np.abs(g64).max())
 
 
 def test_conv2d_shape_errors():
@@ -223,8 +275,47 @@ def test_conv2d_shape_errors():
     with pytest.raises(ShapeError):
         T.conv2d(Tensor(np.zeros((7, 7, 2))), Tensor(np.zeros((2, 2, 2, 3))),
                  Tensor(np.zeros(3)), stride=2, pad=0)
+    with pytest.raises(ShapeError):  # odd k with stride > 1 has no fast path
+        T.conv2d(Tensor(np.zeros((7, 7, 2))), Tensor(np.zeros((3, 3, 2, 3))),
+                 Tensor(np.zeros(3)), stride=2, pad=1)
+    with pytest.raises(ShapeError):  # kernel larger than the padded input
+        T.conv2d(x, Tensor(np.zeros((11, 11, 2, 1))), Tensor(np.zeros(1)), stride=1, pad=0)
 
 
+def closure_arrays(fn):
+    """Every array a callable reaches through its closure cells."""
+    seen, found, stack = set(), [], [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # empty cell
+                    pass
+    return found
+
+
+@pytest.mark.parametrize("k,stride,pad", CONV_CASES)
+def test_conv2d_tape_keeps_no_patch_buffer(k, stride, pad):
+    x, w, b = conv_inputs(k, (2,), np.float64, 19)
+    with Tape() as tape:
+        T.conv2d(x, w, b, stride=stride, pad=pad)
+    (node,) = tape.nodes
+    n, h, wd, c = x.shape
+    padded = x.data.itemsize * n * (h + 2 * pad) * (wd + 2 * pad) * c
+    held = [a.nbytes for a in closure_arrays(node.backward_fn)
+            if a is not w.data and a is not b.data]
+    assert held and max(held) <= padded
 def test_unfold_fold_identity():
     rng = np.random.default_rng(15)
     x = Tensor(rng.standard_normal((6, 6, 3)))
