@@ -151,23 +151,6 @@ def remix_heads(vt, a):
     return T.matmul(a, vt) + T.tsum(vt, axis=-2, keepdims=True)
 
 
-def _heads_by_token(vhats):
-    # M tensors [N, d'] -> [N, M, d']
-    v = T.concat([T.reshape(v, (1,) + tuple(v.shape)) for v in vhats], axis=0)
-    return T.transpose(v, (1, 0, 2))
-
-
-def inter_head_correlation(vhats):
-    """Per-token head-to-head affinity [N, M, M] of M heads [N, d']."""
-    return head_affinity(_heads_by_token(vhats))
-
-
-def mix_heads(vhats, a):
-    """Inter-head remix of M heads [N, d'] by a [N, M, M]; returns M tensors [N, d']."""
-    mixed = T.transpose(remix_heads(_heads_by_token(vhats), a), (1, 0, 2))  # [M, N, d']
-    return [T.take0(mixed, m) for m in range(len(vhats))]
-
-
 def _heads_linear(tokens, w, b):
     # tokens [.., N, D], w [M, D, d'], b [M, d'] -> [.., M, N, d']; one BLAS
     # contraction over D for all heads

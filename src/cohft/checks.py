@@ -11,16 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import (AttentionConfig, basic_attention, init_attention_weights,
-                        inter_head_correlation, intra_head_correlation, tokenize)
-from .crossmod import (adain, channel_moments, init_adain_weights, init_inter_modality_weights,
-                       instance_standardize, inter_modality_attention)
+from .attention import (AttentionConfig, basic_attention, head_affinity, init_attention_weights,
+                        intra_head_correlation)
+from .crossmod import (IN_EPS, adain, channel_moments, init_adain_weights,
+                       init_inter_modality_weights, instance_standardize,
+                       inter_modality_attention)
 from .data import PhantomSpec, make_pair, synth_phantom
 from .losses import LossConfig, gradient_map, ssim, total_loss
 from .model import (count_parameters, forward, init_model, named_parameters, preset)
 from .resample import bicubic_upsample
 from .tensor import Tensor
-from .windows import WindowPlan, init_mlp_weights, merge, partition, window_attention
+from .windows import (WindowPlan, init_mlp_weights, merge, partition, residual_mlp,
+                      window_attention)
 
 
 @dataclass
@@ -126,18 +128,6 @@ def check_forward_determinism(rng):
     assert np.array_equal(a[0].data, b[0].data) and np.array_equal(a[1].data, b[1].data)
 
 
-def check_tape_replay(rng):
-    x = Tensor(rng.standard_normal((4, 4, 2)), requires_grad=True)
-    w = Tensor(rng.standard_normal((3, 3, 2, 2)), requires_grad=True)
-    b = Tensor(np.zeros(2), requires_grad=True)
-    with T.Tape() as tape:
-        out = T.gelu(T.conv2d(x, w, b, 1, 1))
-        loss = T.tsum(out)
-    snap = out.data.copy(), loss.data.copy()
-    tape.replay()
-    assert np.array_equal(out.data, snap[0]) and np.array_equal(loss.data, snap[1])
-
-
 # ---------------------------------------------------------------------------
 # attention-core
 
@@ -148,8 +138,8 @@ def check_attention_row_stochastic(rng):
         k = Tensor(rng.standard_normal((6, 4)))
         s = intra_head_correlation(q, k)
         assert np.all(np.abs(s.data.sum(-1) - 1.0) <= 1e-6)
-        vh = [Tensor(rng.standard_normal((6, 4))) for _ in range(3)]
-        a = inter_head_correlation(vh)
+        vt = Tensor(np.stack([rng.standard_normal((6, 4)) for _ in range(3)], axis=1))
+        a = head_affinity(vt)
         assert np.all(np.abs(a.data.sum(-1) - 1.0) <= 1e-6)
 
 
@@ -229,21 +219,21 @@ def check_two_hop_reachability(rng):
 
 
 def check_window_weight_sharing(rng):
-    # processing order cannot matter: compare against the per-window loop
+    # processing order cannot matter: compare against a per-window loop run in
+    # shuffled order, for both partitions
     cfg = AttentionConfig(d=4, M=2, p=1, rho=1)
     aw = init_attention_weights(cfg, rng, safe_start=False)
     mw = init_mlp_weights(4, rng, safe_start=False)
     x = Tensor(rng.standard_normal((6, 6, 4)))
-    fast = window_attention(x, 3, "short", aw, mw, cfg)
-    wins, plan = partition(x, 3, "short")
-    order = rng.permutation(wins.shape[0])
-    outs = [None] * wins.shape[0]
-    for i in order:
-        outs[i] = basic_attention(T.take0(wins, int(i)), T.take0(wins, int(i)), aw, cfg)
-    stacked = T.concat([T.reshape(o, (1,) + tuple(o.shape)) for o in outs], axis=0)
-    from .windows import residual_mlp
-    slow = residual_mlp(merge(stacked, plan), mw)
-    assert np.allclose(fast.data, slow.data, atol=1e-10)
+    for mode in ("short", "long"):
+        fast = window_attention(x, 3, mode, aw, mw, cfg)
+        wins, plan = partition(x, 3, mode)
+        outs = [None] * wins.shape[0]
+        for i in rng.permutation(wins.shape[0]):
+            win = Tensor(wins.data[i])
+            outs[i] = basic_attention(win, win, aw, cfg).data
+        slow = residual_mlp(merge(Tensor(np.stack(outs)), plan), mw)
+        assert np.allclose(fast.data, slow.data, atol=1e-12), mode
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +243,7 @@ def check_window_weight_sharing(rng):
 def check_instance_standardize_moments(rng):
     x = Tensor(rng.standard_normal((8, 8, 5)) * 2.0 + 1.0)
     y = instance_standardize(x)
-    assert np.all(np.abs(y.data.mean(axis=(0, 1))) <= 1e-4)
+    assert np.all(np.abs(y.data.mean(axis=(0, 1))) <= 1e-10)
     v = y.data.var(axis=(0, 1))
     assert np.all(v >= 1.0 - 1e-3) and np.all(v <= 1.0)
 
@@ -266,7 +256,7 @@ def check_adain_alignment(rng):
         out = adain(x1, x2, w, 2)
         mu1, sigma1 = channel_moments(x1)
         assert np.all(np.abs(out.data.mean(axis=(0, 1)) - mu1.data) <= 1e-4)
-        sd = np.sqrt(out.data.var(axis=(0, 1)) + 1e-5)
+        sd = np.sqrt(out.data.var(axis=(0, 1)) + IN_EPS)
         assert np.all(np.abs(sd - sigma1.data) <= 1e-4)
 
 
@@ -291,7 +281,7 @@ def check_inter_modality_shape(rng):
 # srnet
 
 
-def _tiny_inputs(rng, side=12, r=2):
+def tiny_inputs(rng, side=12, r=2):
     i_in = rng.uniform(0, 1, (side, side, 1))
     r_s = gradient_map(Tensor(i_in)).data
     r_c = rng.uniform(0, 1, (r * side, r * side, 1))
@@ -301,7 +291,7 @@ def _tiny_inputs(rng, side=12, r=2):
 def check_safe_start_equals_bicubic(rng):
     cfg = preset("tiny", r=2)
     state = init_model(cfg, seed=11, safe_start=True)
-    i_in, r_s, r_c = _tiny_inputs(rng)
+    i_in, r_s, r_c = tiny_inputs(rng)
     i_out, r_out = forward(i_in, r_s, r_c, state, cfg)
     up = bicubic_upsample(i_in[:, :, 0], 2)[:, :, None]
     assert np.array_equal(i_out.data, up), "safe-start intensity must equal the bicubic skip"
@@ -312,7 +302,7 @@ def check_safe_start_equals_bicubic(rng):
 def check_ablation_liveness(rng):
     cfg = preset("tiny", r=2)
     state = init_model(cfg, seed=7, safe_start=False)
-    i_in, r_s, r_c = _tiny_inputs(rng)
+    i_in, r_s, r_c = tiny_inputs(rng)
     base = forward(i_in, r_s, r_c, state, cfg)[0].data
     for switch in ("use_short_wa", "use_long_wa", "use_inter_attn", "use_inter_head", "use_adain"):
         alt = preset("tiny", r=2, **{switch: False})
@@ -324,7 +314,7 @@ def check_ablation_liveness(rng):
 def check_network_gradients(rng, n_samples=100):
     cfg = preset("tiny", r=2)
     state = init_model(cfg, seed=19, safe_start=False)
-    i_in, r_s, r_c = _tiny_inputs(rng)
+    i_in, r_s, r_c = tiny_inputs(rng)
     gt = rng.uniform(0, 1, (24, 24, 1))
     params = list(named_parameters(state))
     lcfg = LossConfig()
@@ -408,7 +398,6 @@ ALL_CHECKS = [
     ("tensor-core/softmax-row-sums-and-shift-invariance", check_softmax_properties),
     ("tensor-core/primitive-finite-difference-gradients", check_primitive_gradients),
     ("tensor-core/forward-determinism", check_forward_determinism),
-    ("tensor-core/tape-replay-bit-exact", check_tape_replay),
     ("attention-core/row-stochasticity", check_attention_row_stochastic),
     ("attention-core/safe-start-identity", check_attention_safe_start),
     ("attention-core/reference-permutation-invariance", check_attention_permutation_invariance),

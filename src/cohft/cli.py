@@ -12,7 +12,7 @@ import numpy as np
 from . import chft
 from . import tensor as T
 from .checks import run_all_checks
-from .config import RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .data import PhantomSpec, generate_dataset, load_pair, read_manifest
 from .losses import LossConfig, gradient_map, loss_c, loss_in, psnr, ssim
 from .model import (count_parameters, forward, init_model, load_state_arrays,
@@ -201,18 +201,22 @@ def main(argv=None):
         overrides.append(f"out_dir={args.out}")
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    cfg = load_config(args.config, overrides)
-
-    if args.command == "gen-data":
-        return cmd_gen_data(cfg)
-    if args.command == "train":
-        return cmd_train(cfg)
-    if args.command == "eval":
-        return cmd_eval(cfg, args.checkpoint)
-    if args.command == "infer":
-        return cmd_infer(cfg, args.checkpoint, args.t2_lr, args.t2_lr_grad, args.t1_hr_grad)
-    if args.command == "check":
-        return cmd_check(cfg)
+    try:
+        cfg = load_config(args.config, overrides)
+        if args.command == "gen-data":
+            return cmd_gen_data(cfg)
+        if args.command == "train":
+            return cmd_train(cfg)
+        if args.command == "eval":
+            return cmd_eval(cfg, args.checkpoint)
+        if args.command == "infer":
+            return cmd_infer(cfg, args.checkpoint, args.t2_lr, args.t2_lr_grad, args.t1_hr_grad)
+        if args.command == "check":
+            return cmd_check(cfg)
+    except (ConfigError, T.ShapeError, chft.FormatError, OSError) as exc:
+        # bad configuration, input extents, files or paths: one line, no traceback
+        print(f"cohft: error: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError(args.command)
 
 

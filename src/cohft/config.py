@@ -4,29 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-_SCHEMA = {
-    "preset": (str, "tiny"),
-    "r": (int, 2),
-    "seed": (int, 0),
-    "epochs": (int, 400),
-    "steps": (int, 0),            # 0 = run out the epochs
-    "batch_size": (int, 4),
-    "lr": (float, 1e-4),
-    "lr_halve_epochs": (int, 100),
-    "weight_decay": (float, 1e-4),
-    "precision": (str, "f32"),    # f32 | f64
-    "data_dir": (str, "data"),
-    "out_dir": (str, "out"),
-    "samples": (int, 8),
-    "side": (int, 96),
-    "ellipses_min": (int, 3),
-    "ellipses_max": (int, 8),
-    "blur_sigma": (float, 1.5),
-    "noise_sigma": (float, 0.0),
-    "alpha": (float, 0.95),
-    "lam": (float, 0.5),
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -34,44 +11,49 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    preset: str
-    r: int
-    seed: int
-    epochs: int
-    steps: int
-    batch_size: int
-    lr: float
-    lr_halve_epochs: int
-    weight_decay: float
-    precision: str
-    data_dir: str
-    out_dir: str
-    samples: int
-    side: int
-    ellipses_min: int
-    ellipses_max: int
-    blur_sigma: float
-    noise_sigma: float
-    alpha: float
-    lam: float
+    """Every configuration key; each field's default also fixes the type its value parses to."""
+    preset: str = "tiny"
+    r: int = 2
+    seed: int = 0
+    epochs: int = 400
+    steps: int = 0                # 0 = run out the epochs
+    batch_size: int = 4
+    lr: float = 1e-4
+    lr_halve_epochs: int = 100
+    weight_decay: float = 1e-4
+    precision: str = "f32"        # f32 | f64
+    data_dir: str = "data"
+    out_dir: str = "out"
+    samples: int = 8
+    side: int = 96
+    ellipses_min: int = 3
+    ellipses_max: int = 8
+    blur_sigma: float = 1.5
+    noise_sigma: float = 0.0
+    alpha: float = 0.95
+    lam: float = 0.5
 
     def echo(self, path):
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_POSITIVE = ("r", "batch_size", "lr_halve_epochs", "samples", "side")
+_NON_NEGATIVE = ("epochs", "steps")
+
+
 def _coerce(key, raw):
-    if key not in _SCHEMA:
+    if key not in _DEFAULTS:
         raise ConfigError(f"unknown configuration key {key!r}")
-    typ, _ = _SCHEMA[key]
     try:
-        return typ(raw)
+        return type(_DEFAULTS[key])(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 
 def load_config(path=None, overrides=()):
-    values = {k: default for k, (_, default) in _SCHEMA.items()}
+    values = dict(_DEFAULTS)
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             line = line.split("#", 1)[0].strip()
@@ -88,4 +70,10 @@ def load_config(path=None, overrides=()):
         values[key] = _coerce(key, raw)
     if values["precision"] not in ("f32", "f64"):
         raise ConfigError(f"precision must be f32 or f64, got {values['precision']!r}")
+    for key in _POSITIVE:
+        if values[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {values[key]}")
+    for key in _NON_NEGATIVE:
+        if values[key] < 0:
+            raise ConfigError(f"{key} must be at least 0, got {values[key]}")
     return RunConfig(**values)

@@ -7,11 +7,11 @@ stored as one CHFT file per field plus a plain-text manifest of sample ids.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import chft
 from .losses import gradient_map
@@ -45,6 +45,9 @@ def _grad(img2d):
 
 def synth_phantom(spec: PhantomSpec):
     """Deterministic per-seed (t1_hr, t2_hr) pair with shared geometry, [side, side] in [0, 1]."""
+    # imported here so that train, eval and infer do not pay for scipy.ndimage
+    from scipy.ndimage import gaussian_filter
+
     rng = np.random.default_rng(spec.seed)
     s = spec.side
     n = int(rng.integers(spec.ellipses_min, spec.ellipses_max + 1)) if spec.ellipses_max > 0 else 0
@@ -108,11 +111,7 @@ def generate_dataset(directory, n_samples, r, base_spec: PhantomSpec):
     """n_samples pairs with seeds base_seed .. base_seed + n - 1; returns the ids."""
     ids = []
     for i in range(n_samples):
-        spec = PhantomSpec(seed=base_spec.seed + i, side=base_spec.side,
-                           ellipses_min=base_spec.ellipses_min,
-                           ellipses_max=base_spec.ellipses_max,
-                           blur_sigma=base_spec.blur_sigma,
-                           noise_sigma=base_spec.noise_sigma)
+        spec = dataclasses.replace(base_spec, seed=base_spec.seed + i)
         sid = f"sample_{spec.seed:05d}"
         save_pair(directory, sid, make_pair(spec, r))
         ids.append(sid)

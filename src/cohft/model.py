@@ -10,12 +10,13 @@ global skip) and the HR gradient map.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .attention import AttentionConfig, AttentionWeights, _uniform, _zeros, init_attention_weights
+from .config import ConfigError
 from .crossmod import InterModalityWeights, init_inter_modality_weights, inter_modality_attention
 from .resample import bicubic_upsample
 from .tensor import ShapeError, Tensor
@@ -50,9 +51,8 @@ class ModelConfig:
     def preflight(self, h, w):
         """Reject incompatible LR extents before any compute."""
         problems = []
-        for gg in (self.g,):
-            if h % gg or w % gg:
-                problems.append(f"extents {h}x{w} not divisible by window side g={gg}")
+        if h % self.g or w % self.g:
+            problems.append(f"extents {h}x{w} not divisible by window side g={self.g}")
         if h % self.p_intra or w % self.p_intra:
             problems.append(f"extents {h}x{w} not divisible by p_intra={self.p_intra}")
         if h % self.p_inter or w % self.p_inter:
@@ -75,7 +75,7 @@ _PRESETS = {
 
 def preset(name, r=2, **overrides):
     if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
+        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
     kw = dict(_PRESETS[name])
     kw.update(overrides)
     return ModelConfig(variant=name, r=r, **kw)
@@ -263,13 +263,12 @@ def input_gate(i_in, r_s, r_c, state: ModelState, cfg: ModelConfig):
     return f0, fs0, fc0
 
 
-def cohf_t_block(e_i, fs_i, fc0, block: CohfTBlockWeights, cfg: ModelConfig):
+def cohf_t_block(fs_i, fc0, block: CohfTBlockWeights, cfg: ModelConfig):
     """Short-window, long-window, then inter-modality attention on the prior features.
 
-    e_i is part of the stage interface but enters the block only through fs_i.
-    Disabled switches replace the corresponding stage with the identity.
+    The main-stream features reach the block only through fs_i.  Disabled
+    switches replace the corresponding stage with the identity.
     """
-    del e_i
     y = fs_i
     if cfg.use_short_wa:
         y = window_attention(y, cfg.g, "short", block.short_attn, block.short_mlp,
@@ -290,7 +289,7 @@ def stage_forward(f_prev, p_prev, fc0, stage: StageWeights, cfg: ModelConfig):
         e_i = rrdb(e_i, w)
     fbar_s = conv(e_i, stage.struct_conv)
     fs_i = conv(T.concat([p_prev, fbar_s], axis=-1), stage.fuse_conv)
-    p_i = cohf_t_block(e_i, fs_i, fc0, stage.block, cfg)
+    p_i = cohf_t_block(fs_i, fc0, stage.block, cfg)
     t_i = T.sigmoid(conv(fbar_s, stage.select_conv))
     f_i = e_i + t_i * p_i
     return f_i, p_i

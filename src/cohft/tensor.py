@@ -87,14 +87,13 @@ class Tensor:
 
 
 class Node:
-    __slots__ = ("op", "inputs", "out", "backward_fn", "recompute_fn")
+    __slots__ = ("op", "inputs", "out", "backward_fn")
 
-    def __init__(self, op, inputs, out, backward_fn, recompute_fn):
+    def __init__(self, op, inputs, out, backward_fn):
         self.op = op
         self.inputs = inputs
         self.out = out
         self.backward_fn = backward_fn
-        self.recompute_fn = recompute_fn
 
 
 class Tape:
@@ -111,15 +110,6 @@ class Tape:
         _TAPE_STACK.pop()
         return False
 
-    def replay(self):
-        """Re-run every recorded forward computation in order.
-
-        Outputs are recomputed from the (possibly updated) input tensors and
-        written back in place.  With unchanged inputs the result is bit-exact.
-        """
-        for node in self.nodes:
-            node.out.data = node.recompute_fn()
-
 
 def _as_tensor(x, like=None):
     if isinstance(x, Tensor):
@@ -128,10 +118,10 @@ def _as_tensor(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _record(op, out_data, inputs, backward_fn, recompute_fn):
+def _record(op, out_data, inputs, backward_fn):
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     if _TAPE_STACK:
-        _TAPE_STACK[-1].nodes.append(Node(op, tuple(inputs), out, backward_fn, recompute_fn))
+        _TAPE_STACK[-1].nodes.append(Node(op, tuple(inputs), out, backward_fn))
     return out
 
 
@@ -194,7 +184,7 @@ def add(a, b):
     def bw(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _record("add", out, (a, b), bw, lambda: a.data + b.data)
+    return _record("add", out, (a, b), bw)
 
 
 def sub(a, b):
@@ -205,7 +195,7 @@ def sub(a, b):
     def bw(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
-    return _record("sub", out, (a, b), bw, lambda: a.data - b.data)
+    return _record("sub", out, (a, b), bw)
 
 
 def mul(a, b):
@@ -217,7 +207,7 @@ def mul(a, b):
     def bw(g):
         return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return _record("mul", out, (a, b), bw, lambda: a.data * b.data)
+    return _record("mul", out, (a, b), bw)
 
 
 def div(a, b):
@@ -229,11 +219,11 @@ def div(a, b):
     def bw(g):
         return _unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)
 
-    return _record("div", out, (a, b), bw, lambda: a.data / b.data)
+    return _record("div", out, (a, b), bw)
 
 
 def neg(a):
-    return _record("neg", -a.data, (a,), lambda g: (-g,), lambda: -a.data)
+    return _record("neg", -a.data, (a,), lambda g: (-g,))
 
 
 def sqrt(a):
@@ -242,12 +232,12 @@ def sqrt(a):
     def bw(g):
         return (g * (0.5 / out),)
 
-    return _record("sqrt", out, (a,), bw, lambda: np.sqrt(a.data))
+    return _record("sqrt", out, (a,), bw)
 
 
 def square(a):
     ad = a.data
-    return _record("square", ad * ad, (a,), lambda g: (g * (2.0 * ad),), lambda: a.data * a.data)
+    return _record("square", ad * ad, (a,), lambda g: (g * (2.0 * ad),))
 
 
 def _gelu_grad(x, phi):
@@ -258,17 +248,14 @@ def _gelu_grad(x, phi):
 
 def gelu(a):
     """Exact-erf Gaussian error linear unit, x * Phi(x)."""
-    def phi_of(x):
-        return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-
     ad = a.data
-    phi = phi_of(ad)
+    phi = 0.5 * (1.0 + erf(ad / math.sqrt(2.0)))
     out = ad * phi
 
     def bw(g):
         return (g * _gelu_grad(ad, phi),)
 
-    return _record("gelu", out, (a,), bw, lambda: a.data * phi_of(a.data))
+    return _record("gelu", out, (a,), bw)
 
 
 def sigmoid(a):
@@ -277,7 +264,7 @@ def sigmoid(a):
     def bw(g):
         return (g * out * (1.0 - out),)
 
-    return _record("sigmoid", out, (a,), bw, lambda: 1.0 / (1.0 + np.exp(-a.data)))
+    return _record("sigmoid", out, (a,), bw)
 
 
 def leaky_relu(a, slope=0.2):
@@ -287,8 +274,7 @@ def leaky_relu(a, slope=0.2):
     def bw(g):
         return (g * np.where(ad >= 0, 1.0, slope).astype(ad.dtype),)
 
-    return _record("leaky_relu", out, (a,), bw,
-                   lambda: np.where(a.data >= 0, a.data, slope * a.data))
+    return _record("leaky_relu", out, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +291,7 @@ def tsum(a, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
-    return _record("sum", out, (a,), bw, lambda: a.data.sum(axis=axis, keepdims=keepdims))
+    return _record("sum", out, (a,), bw)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -322,21 +308,19 @@ def tmean(a, axis=None, keepdims=False):
             gg = np.expand_dims(gg, axis)
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
-    return _record("mean", out, (a,), bw, lambda: a.data.mean(axis=axis, keepdims=keepdims))
+    return _record("mean", out, (a,), bw)
 
 
 def reshape(a, shape):
     shape = tuple(shape)
     src = a.data.shape
-    return _record("reshape", a.data.reshape(shape), (a,),
-                   lambda g: (g.reshape(src),), lambda: a.data.reshape(shape))
+    return _record("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(src),))
 
 
 def transpose(a, axes):
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return _record("transpose", a.data.transpose(axes), (a,),
-                   lambda g: (g.transpose(inv),), lambda: a.data.transpose(axes))
+    return _record("transpose", a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def concat(tensors, axis=-1):
@@ -348,8 +332,7 @@ def concat(tensors, axis=-1):
     def bw(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _record("concat", out, tuple(tensors), bw,
-                   lambda: np.concatenate([t.data for t in tensors], axis=axis))
+    return _record("concat", out, tuple(tensors), bw)
 
 
 def einsum(subscripts, a, b):
@@ -368,16 +351,14 @@ def einsum(subscripts, a, b):
             if ch not in out_sub and ch not in other:
                 raise ShapeError(f"einsum '{subscripts}': index '{ch}' is not differentiable here")
 
-    def f(x, y):
-        return np.einsum(subscripts, x, y, optimize=True)
+    out = np.einsum(subscripts, a.data, b.data, optimize=True)
 
     def bw(g):
         ga = np.einsum(f"{out_sub},{sb}->{sa}", g, b.data, optimize=True)
         gb = np.einsum(f"{out_sub},{sa}->{sb}", g, a.data, optimize=True)
         return ga, gb
 
-    return _record("einsum:" + subscripts, f(a.data, b.data), (a, b), bw,
-                   lambda: f(a.data, b.data))
+    return _record("einsum:" + subscripts, out, (a, b), bw)
 
 
 def matmul(a, b):
@@ -393,7 +374,7 @@ def matmul(a, b):
         return (_unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape),
                 _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape))
 
-    return _record("matmul", out, (a, b), bw, lambda: np.matmul(a.data, b.data))
+    return _record("matmul", out, (a, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +383,15 @@ def matmul(a, b):
 
 def softmax(a, axis=-1):
     """Numerically stabilized softmax: subtracts the axis max before exp."""
-    def f(x):
-        shifted = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=axis, keepdims=True)
-
-    out = f(a.data)
+    x = a.data
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - dot),)
 
-    return _record("softmax", out, (a,), bw, lambda: f(a.data))
+    return _record("softmax", out, (a,), bw)
 
 
 def layer_norm(a, gain, shift):
@@ -422,11 +400,6 @@ def layer_norm(a, gain, shift):
     if gain.data.shape != (d,) or shift.data.shape != (d,):
         raise ShapeError(f"layer_norm affine must have shape ({d},), got "
                          f"{gain.data.shape} / {shift.data.shape}")
-
-    def f(x, gn, sh):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-        return (x - mu) / np.sqrt(var + LN_EPS) * gn + sh
 
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
@@ -445,8 +418,7 @@ def layer_norm(a, gain, shift):
         dx = inv * (dxhat - m1 - xhat * m2)
         return dx, dgain, dshift
 
-    return _record("layer_norm", out, (a, gain, shift), bw,
-                   lambda: f(a.data, gain.data, shift.data))
+    return _record("layer_norm", out, (a, gain, shift), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -491,16 +463,15 @@ def conv2d(x, weights, bias, stride=1, pad=0):
                 xd = xp
             return xd.reshape(-1, c_in)
 
-        def f(xd, wt, bs):
-            xf = padded_rows(xd)
-            n = xf.shape[0] - reach
-            acc = np.empty((xf.shape[0], c_out), dtype=np.result_type(xd, wt))
-            for t, (i, j, off) in enumerate(taps):
-                if t:
-                    acc[:n] += xf[off:off + n] @ wt[i, j]
-                else:
-                    np.matmul(xf[:n], wt[i, j], out=acc[:n])
-            return acc.reshape(lead + (hp, wp, c_out))[..., :ho, :wo, :] + bs
+        xf = padded_rows(x.data)
+        n = xf.shape[0] - reach
+        acc = np.empty((xf.shape[0], c_out), dtype=np.result_type(x.data, wd))
+        for t, (i, j, off) in enumerate(taps):
+            if t:
+                acc[:n] += xf[off:off + n] @ wd[i, j]
+            else:
+                np.matmul(xf[:n], wd[i, j], out=acc[:n])
+        out = acc.reshape(lead + (hp, wp, c_out))[..., :ho, :wo, :] + bias.data
 
         def bw(g):
             xf = padded_rows(x.data)
@@ -529,9 +500,8 @@ def conv2d(x, weights, bias, stride=1, pad=0):
             blocks = xd.reshape(lead + (ho, k, wo, k, c_in)).transpose(perm)
             return blocks.reshape(-1, k * k * c_in)
 
-        def f(xd, wt, bs):
-            out = depth_rows(xd) @ wt.reshape(k * k * c_in, c_out)
-            return out.reshape(lead + (ho, wo, c_out)) + bs
+        out = depth_rows(x.data) @ wd.reshape(k * k * c_in, c_out)
+        out = out.reshape(lead + (ho, wo, c_out)) + bias.data
 
         def bw(g):
             gf = g.reshape(-1, c_out)
@@ -543,9 +513,7 @@ def conv2d(x, weights, bias, stride=1, pad=0):
         raise ShapeError(f"conv2d supports stride 1 with odd k, or stride == k with pad 0; "
                          f"got k={k}, stride={stride}, pad={pad}")
 
-    out = f(x.data, wd, bias.data)
-    return _record("conv2d", out, (x, weights, bias), bw,
-                   lambda: f(x.data, weights.data, bias.data))
+    return _record("conv2d", out, (x, weights, bias), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -599,40 +567,20 @@ def pixel_shuffle(x, r):
     return reshape(y, lead + (r * h, r * w, d))
 
 
-def take0(x, i):
-    """Select index i along axis 0."""
-    if not 0 <= i < x.shape[0]:
-        raise ShapeError(f"take0: index {i} out of range for extent {x.shape[0]}")
-
-    def bw(g):
-        ig = np.zeros_like(x.data)
-        ig[i] = g
-        return (ig,)
-
-    return _record("take0", x.data[i], (x,), bw, lambda: x.data[i])
-
-
 def forward_diff(x, axis):
     """Forward difference along an axis with replicate boundary (last slice = 0)."""
-    def f(a):
-        d = np.zeros_like(a)
-        src = [slice(None)] * a.ndim
-        dst = [slice(None)] * a.ndim
-        src[axis] = slice(1, None)
-        dst[axis] = slice(0, -1)
-        d[tuple(dst)] = a[tuple(src)] - a[tuple(dst)]
-        return d
-
-    out = f(x.data)
+    src = [slice(None)] * x.ndim
+    dst = [slice(None)] * x.ndim
+    src[axis] = slice(1, None)
+    dst[axis] = slice(0, -1)
+    src, dst = tuple(src), tuple(dst)
+    out = np.zeros_like(x.data)
+    out[dst] = x.data[src] - x.data[dst]
 
     def bw(g):
         ig = np.zeros_like(g)
-        src = [slice(None)] * g.ndim
-        dst = [slice(None)] * g.ndim
-        src[axis] = slice(1, None)
-        dst[axis] = slice(0, -1)
-        ig[tuple(src)] += g[tuple(dst)]
-        ig[tuple(dst)] -= g[tuple(dst)]
+        ig[src] += g[dst]
+        ig[dst] -= g[dst]
         return (ig,)
 
-    return _record("forward_diff", out, (x,), bw, lambda: f(x.data))
+    return _record("forward_diff", out, (x,), bw)

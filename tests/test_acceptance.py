@@ -11,14 +11,16 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import cohft
 from cohft import tensor as T
-from cohft.attention import inter_head_correlation, intra_head_correlation, mix_heads
-from cohft.checks import (check_network_gradients, check_primitive_gradients,
-                          two_hop_covers_grid)
-from cohft.crossmod import IN_EPS, adain, channel_moments, init_adain_weights
+from cohft.attention import head_affinity, intra_head_correlation, remix_heads
+from cohft.checks import (check_ablation_liveness, check_adain_alignment,
+                          check_attention_row_stochastic, check_network_gradients,
+                          check_primitive_gradients, two_hop_covers_grid)
 from cohft.losses import gradient_map, ssim
 from cohft.model import (conv, forward, init_model, input_gate, output_gate, preset,
                          rrdb, state_arrays)
@@ -42,16 +44,11 @@ def test_gradient_fidelity():
 
 def test_attention_algebra():
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        q = Tensor(rng.standard_normal((6, 4)))
-        k = Tensor(rng.standard_normal((6, 4)))
-        assert np.all(np.abs(intra_head_correlation(q, k).data.sum(-1) - 1.0) <= 1e-6)
-        vh = [Tensor(rng.standard_normal((6, 4))) for _ in range(3)]
-        assert np.all(np.abs(inter_head_correlation(vh).data.sum(-1) - 1.0) <= 1e-6)
+    check_attention_row_stochastic(rng)
 
     # single head: the correlation matrix is 1, so mixing doubles the values
-    v = Tensor(rng.standard_normal((8, 5)))
-    (u,) = mix_heads([v], inter_head_correlation([v]))
+    v = Tensor(rng.standard_normal((8, 1, 5)))
+    u = remix_heads(v, head_affinity(v))
     assert np.array_equal(u.data, 2.0 * v.data)
 
     # hand-checked scalar: keys [1,0] and [0,0] against query [1,0] in d' = 2
@@ -61,8 +58,8 @@ def test_attention_algebra():
     assert abs(s.data[0, 0] - want) <= 1e-4
 
     # hand-checked two-head case: orthonormal heads give softmax([1, 0]) rows
-    a = inter_head_correlation([Tensor(np.array([[1.0, 0.0]])),
-                                Tensor(np.array([[0.0, 1.0]]))])
+    a = head_affinity(Tensor(np.stack([np.array([[1.0, 0.0]]),
+                                       np.array([[0.0, 1.0]])], axis=1)))
     assert abs(a.data[0, 0, 0] - math.e / (math.e + 1.0)) <= 1e-4
     assert abs(a.data[0, 0, 1] - 1.0 / (math.e + 1.0)) <= 1e-4
 
@@ -86,16 +83,7 @@ def test_window_partitioning():
 
 def test_reference_alignment():
     # zero affine offsets: output channel moments match the target stream's
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        x1 = Tensor(rng.standard_normal((6, 6, 4)) * rng.uniform(0.5, 2.0) + rng.normal())
-        x2 = Tensor(rng.standard_normal((12, 12, 4)) * rng.uniform(0.5, 2.0))
-        w = init_adain_weights(4, 2, rng)
-        out = adain(x1, x2, w, 2).data
-        mu1, sigma1 = channel_moments(x1)
-        assert np.all(np.abs(out.mean((0, 1)) - mu1.data) <= 1e-4)
-        sd = np.sqrt(out.var((0, 1)) + IN_EPS)
-        assert np.all(np.abs(sd - sigma1.data) <= 1e-4)
+    check_adain_alignment(np.random.default_rng(4))
 
 
 def test_structural_identities():
@@ -163,7 +151,9 @@ def test_safe_start_equivalence(tmp_path):
 
 def test_toy_training_improves_over_bicubic(tmp_path):
     # tiny preset, 8 synthetic 48 -> 96 pairs, 200 steps on a single CPU thread
-    env = dict(os.environ)
+    src = str(Path(cohft.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         env[key] = "1"
@@ -203,15 +193,4 @@ def test_toy_training_improves_over_bicubic(tmp_path):
 
 
 def test_ablation_liveness():
-    rng = np.random.default_rng(7)
-    cfg = preset("tiny", r=2)
-    state = init_model(cfg, seed=7, safe_start=False)
-    i_in = rng.uniform(0, 1, (12, 12, 1))
-    r_s = gradient_map(Tensor(i_in)).data
-    r_c = rng.uniform(0, 1, (24, 24, 1))
-    base = forward(i_in, r_s, r_c, state, cfg)[0].data
-    for switch in ("use_inter_attn", "use_short_wa", "use_long_wa",
-                   "use_inter_head", "use_adain"):
-        alt = preset("tiny", r=2, **{switch: False})
-        diff = np.abs(forward(i_in, r_s, r_c, state, alt)[0].data - base).max()
-        assert diff > 1e-6, f"{switch} is not on the computation path"
+    check_ablation_liveness(np.random.default_rng(7))

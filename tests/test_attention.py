@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cohft import tensor as T
-from cohft.attention import (AttentionConfig, basic_attention, init_attention_weights,
-                             inter_head_correlation, intra_head_correlation, mix_heads,
+from cohft.attention import (AttentionConfig, basic_attention, head_affinity,
+                             init_attention_weights, intra_head_correlation, remix_heads,
                              renew_values, tokenize)
+from cohft.checks import check_attention_permutation_invariance, check_attention_safe_start
 from cohft.tensor import ShapeError, Tape, Tensor, backward
 
 # frozen correlation values for hand-checkable token configurations
@@ -26,8 +27,8 @@ def test_intra_head_rows_stochastic():
 def test_inter_head_rows_stochastic():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        vhats = [Tensor(rng.standard_normal((5, 3))) for _ in range(4)]
-        a = inter_head_correlation(vhats)
+        vt = Tensor(np.stack([rng.standard_normal((5, 3)) for _ in range(4)], axis=1))
+        a = head_affinity(vt)
         assert a.shape == (5, 4, 4)
         assert np.all(np.abs(a.data.sum(-1) - 1.0) <= 1e-6)
 
@@ -43,9 +44,9 @@ def test_single_pair_correlation_value():
 
 def test_two_head_correlation_value():
     # orthonormal heads: self dot 1, cross dot 0, unscaled logits
-    v1 = Tensor(np.array([[1.0, 0.0]]))
-    v2 = Tensor(np.array([[0.0, 1.0]]))
-    a = inter_head_correlation([v1, v2])
+    v1 = np.array([[1.0, 0.0]])
+    v2 = np.array([[0.0, 1.0]])
+    a = head_affinity(Tensor(np.stack([v1, v2], axis=1)))
     assert abs(a.data[0, 0, 0] - TWO_HEAD_ROW[0]) <= 1e-4
     assert abs(a.data[0, 0, 1] - TWO_HEAD_ROW[1]) <= 1e-4
     assert abs(a.data[0, 1, 1] - TWO_HEAD_ROW[0]) <= 1e-4
@@ -61,22 +62,20 @@ def test_renew_values_weighted_combination():
 def test_single_head_mixing_doubles():
     # with one head the correlation matrix is exactly 1, so u = 2 vhat
     rng = np.random.default_rng(2)
-    v = Tensor(rng.standard_normal((7, 3)))
-    a = inter_head_correlation([v])
+    v = Tensor(rng.standard_normal((7, 1, 3)))
+    a = head_affinity(v)
     assert np.array_equal(a.data, np.ones((7, 1, 1)))
-    (u,) = mix_heads([v], a)
-    assert np.allclose(u.data, 2.0 * v.data, atol=1e-12)
+    assert np.array_equal(remix_heads(v, a).data, 2.0 * v.data)
 
 
 def test_equal_heads_mixing():
     # M identical heads: uniform correlation, u = (M + 1) vhat for every head
     rng = np.random.default_rng(3)
-    base = Tensor(rng.standard_normal((4, 5)))
+    base = rng.standard_normal((4, 5))
     for m in (2, 3, 4):
-        vhats = [base] * m
-        a = inter_head_correlation(vhats)
-        for u in mix_heads(vhats, a):
-            assert np.allclose(u.data, (m + 1) * base.data, atol=1e-10)
+        vt = Tensor(np.stack([base] * m, axis=1))
+        u = remix_heads(vt, head_affinity(vt))
+        assert np.allclose(u.data, (m + 1) * vt.data, atol=1e-10)
 
 
 def test_tokenize_shapes():
@@ -103,12 +102,7 @@ def test_config_validation():
 
 
 def test_safe_start_is_identity():
-    rng = np.random.default_rng(5)
-    cfg = AttentionConfig(d=4, M=2, p=1, rho=1)
-    w = init_attention_weights(cfg, rng)  # safe start: zero output conv
-    x = Tensor(rng.standard_normal((6, 6, 4)))
-    out = basic_attention(x, x, w, cfg)
-    assert np.array_equal(out.data, x.data)
+    check_attention_safe_start(np.random.default_rng(5))
 
 
 def test_output_shape_follows_x1():
@@ -121,15 +115,7 @@ def test_output_shape_follows_x1():
 
 
 def test_reference_patch_permutation_invariance():
-    rng = np.random.default_rng(7)
-    cfg = AttentionConfig(d=4, M=2, p=2, rho=1)
-    w = init_attention_weights(cfg, rng, safe_start=False)
-    x1 = Tensor(rng.standard_normal((4, 4, 4)))
-    x2 = rng.standard_normal((4, 4, 4))
-    out = basic_attention(x1, Tensor(x2), w, cfg)
-    flipped = x2.reshape(2, 2, 4, 4)[::-1].reshape(4, 4, 4)
-    out_p = basic_attention(x1, Tensor(flipped), w, cfg)
-    assert np.allclose(out.data, out_p.data, atol=1e-10)
+    check_attention_permutation_invariance(np.random.default_rng(7))
 
 
 def test_batched_equals_loop():

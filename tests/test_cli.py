@@ -1,7 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import cohft
 from cohft import chft, cli
 from cohft import tensor as T
 from cohft.data import load_pair, read_manifest
@@ -136,3 +142,53 @@ def test_check_detects_injected_gradient_fault(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "[FAIL]" in out
+
+
+def assert_one_line_error(capsys, args, needle):
+    rc = run(args)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("cohft: error: ") and err.count("\n") == 1, err
+    assert needle in err, err
+
+
+@pytest.mark.parametrize("args, needle", [
+    (["--set", "batch_size=0", "train"], "batch_size"),
+    (["--set", "lr_halve_epochs=0", "train"], "lr_halve_epochs"),
+    (["--set", "r=0", "gen-data"], "r must be at least 1"),
+    (["--set", "steps=-1", "train"], "steps"),
+])
+def test_bad_config_is_one_line_error(capsys, args, needle):
+    assert_one_line_error(capsys, args, needle)
+
+
+def test_unknown_preset_is_one_line_error(tmp_path, capsys):
+    assert_one_line_error(capsys, ["--set", "preset=XL", "--out", str(tmp_path / "out"), "eval",
+                                   str(tmp_path / "ckpt.chft")], "preset 'XL'")
+
+
+def test_missing_files_are_one_line_errors(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert_one_line_error(capsys, ["--set", f"data_dir={tmp_path / 'nowhere'}", "--out", out,
+                                   "train"], "manifest.txt")
+    assert_one_line_error(capsys, ["--out", out, "eval", str(tmp_path / "missing.chft")],
+                          "missing.chft")
+
+
+def test_indivisible_extents_are_one_line_error(tmp_path, capsys):
+    # preset S needs LR sides divisible by p_inter = 5; gen-data defaults give 48
+    data, out = gen(tmp_path, samples=1, side=96)
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--set", "preset=S",
+                                   "--out", str(out), "train"], "p_inter=5")
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # only gen-data blurs, so train, eval and infer start without scipy.ndimage
+    src = str(Path(cohft.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, cohft.cli; print('scipy.ndimage' in sys.modules)"
+    run_ = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run_.returncode == 0, run_.stderr
+    assert run_.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from cohft.config import ConfigError, RunConfig, load_config
@@ -57,6 +59,13 @@ def test_bad_values_rejected(tmp_path):
         load_config(path)
     with pytest.raises(ConfigError):
         load_config(None, ["precision=f16"])
+    for key in ("r", "batch_size", "lr_halve_epochs", "samples", "side"):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, [f"{key}=0"])
+    for key in ("epochs", "steps"):
+        load_config(None, [f"{key}=0"])
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, [f"{key}=-1"])
 
 
 def test_echo(tmp_path):
@@ -67,3 +76,22 @@ def test_echo(tmp_path):
     text = out.read_text()
     assert "seed = 4" in text
     assert "preset = tiny" in text
+
+
+def test_echo_round_trips_every_field(tmp_path):
+    # a value unlike the default for every field, in the field's own type
+    changed = {"preset": "S", "r": 3, "seed": 5, "epochs": 7, "steps": 11, "batch_size": 2,
+               "lr": 3e-3, "lr_halve_epochs": 13, "weight_decay": 0.25, "precision": "f64",
+               "data_dir": "d/x", "out_dir": "o/y", "samples": 17, "side": 60,
+               "ellipses_min": 1, "ellipses_max": 2, "blur_sigma": 0.6, "noise_sigma": 0.01,
+               "alpha": 0.5, "lam": 0.125}
+    assert set(changed) == {f.name for f in fields(RunConfig)}
+    cfg = load_config(None, [f"{k}={v}" for k, v in changed.items()])
+    defaults = RunConfig()
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        assert value != getattr(defaults, f.name), f.name
+        assert type(value).__name__ == f.type, f.name  # the default's type is the declared one
+    path = tmp_path / "echo.txt"
+    cfg.echo(path)
+    assert load_config(path) == cfg

@@ -2,23 +2,15 @@ import numpy as np
 import pytest
 
 from cohft import chft
-from cohft.losses import gradient_map
+from cohft.checks import check_ablation_liveness, check_safe_start_equals_bicubic, tiny_inputs
 from cohft.model import (ModelConfig, count_parameters, forward, init_model,
                          init_rrdb_weights, load_state_arrays, named_parameters,
                          preset, rrdb, state_arrays)
 from cohft.optim import AdamW
-from cohft.resample import bicubic_upsample
 from cohft.tensor import ShapeError, Tensor
 
 TINY_R2_PARAMS = 5_405
 L_R4_PARAMS = 12_661_102
-
-
-def tiny_inputs(rng, side=12, r=2):
-    i_in = rng.uniform(0, 1, (side, side, 1))
-    r_s = gradient_map(Tensor(i_in)).data
-    r_c = rng.uniform(0, 1, (r * side, r * side, 1))
-    return i_in, r_s, r_c
 
 
 def test_preset_table():
@@ -58,14 +50,7 @@ def test_rrdb_safe_start_identity():
 
 
 def test_safe_start_forward_equals_bicubic():
-    rng = np.random.default_rng(1)
-    cfg = preset("tiny", r=2)
-    state = init_model(cfg, seed=11, dtype=np.float64, safe_start=True)
-    i_in, r_s, r_c = tiny_inputs(rng)
-    i_out, r_out = forward(i_in, r_s, r_c, state, cfg)
-    up = bicubic_upsample(i_in[:, :, 0], 2)[:, :, None]
-    assert np.array_equal(i_out.data, up)
-    assert np.array_equal(r_out.data, np.zeros_like(r_out.data))
+    check_safe_start_equals_bicubic(np.random.default_rng(1))
 
 
 def test_forward_shapes_and_determinism():
@@ -101,16 +86,7 @@ def test_preflight_messages():
 
 
 def test_ablation_switches_change_output():
-    rng = np.random.default_rng(4)
-    cfg = preset("tiny", r=2)
-    state = init_model(cfg, seed=7, safe_start=False)
-    i_in, r_s, r_c = tiny_inputs(rng)
-    base = forward(i_in, r_s, r_c, state, cfg)[0].data
-    for switch in ("use_short_wa", "use_long_wa", "use_inter_attn",
-                   "use_inter_head", "use_adain"):
-        alt = preset("tiny", r=2, **{switch: False})
-        out = forward(i_in, r_s, r_c, state, alt)[0].data
-        assert np.abs(out - base).max() > 1e-6, switch
+    check_ablation_liveness(np.random.default_rng(4))
 
 
 def test_state_roundtrip_through_container(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cohft import tensor as T
-from cohft.attention import AttentionConfig, basic_attention, init_attention_weights
+from cohft.attention import AttentionConfig, init_attention_weights
+from cohft.checks import check_window_weight_sharing, two_hop_covers_grid
 from cohft.tensor import ShapeError, Tensor
 from cohft.windows import (WindowPlan, init_mlp_weights, merge, partition,
                            residual_mlp, window_attention)
@@ -57,24 +57,10 @@ def test_merge_rejects_mismatched_windows():
         merge(Tensor(np.zeros((4, 2, 2, 2))), plan)
 
 
-def two_hop_covers(h, w, g):
-    n = h * w
-    adj = [set() for _ in range(n)]
-    for mode in ("short", "long"):
-        for win in WindowPlan(h, w, g, mode).index_map().reshape(-1, g * g, 2):
-            flat = [int(y) * w + int(x) for y, x in win]
-            for a in flat:
-                adj[a].update(flat)
-    reach = set()
-    for b in adj[0]:
-        reach.update(adj[b])
-    return len(reach) == n
-
-
 def test_two_hop_reachability():
     for h, w, g in COMBOS:
         if g >= max(h, w) / g:
-            assert two_hop_covers(h, w, g), f"{h}x{w} g={g}"
+            assert two_hop_covers_grid(h, w, g), f"{h}x{w} g={g}"
 
 
 def test_residual_mlp_safe_start_identity():
@@ -87,19 +73,7 @@ def test_residual_mlp_safe_start_identity():
 
 
 def test_window_attention_matches_per_window_loop():
-    rng = np.random.default_rng(2)
-    cfg = AttentionConfig(d=4, M=2, p=1, rho=1)
-    aw = init_attention_weights(cfg, rng, safe_start=False)
-    mw = init_mlp_weights(4, rng, safe_start=False)
-    x = Tensor(rng.standard_normal((6, 6, 4)))
-    for mode in ("short", "long"):
-        fast = window_attention(x, 3, mode, aw, mw, cfg)
-        wins, plan = partition(x, 3, mode)
-        outs = [basic_attention(T.take0(wins, i), T.take0(wins, i), aw, cfg)
-                for i in range(wins.shape[0])]
-        stacked = T.concat([T.reshape(o, (1,) + tuple(o.shape)) for o in outs], axis=0)
-        slow = residual_mlp(merge(stacked, plan), mw)
-        assert np.allclose(fast.data, slow.data, atol=1e-12)
+    check_window_weight_sharing(np.random.default_rng(2))
 
 
 def test_window_attention_safe_start_identity():
