@@ -49,12 +49,19 @@ def cmd_gen_data(cfg: RunConfig):
     return 0
 
 
-def _sample_losses(pair, state, mc, lcfg):
+def _forward(pair, state, mc):
+    """One sample's outputs and its ground truth in their dtype: (i_out, r_out, gt)."""
     i_out, r_out = forward(pair.t2_lr, pair.t2_lr_grad, pair.t1_hr_grad, state, mc)
-    gt = Tensor(np.asarray(pair.t2_hr, dtype=i_out.data.dtype))
-    li = loss_in(i_out, gt, lcfg)
-    lc = loss_c(r_out, gradient_map(gt, lcfg.epsilon_grad), lcfg)
-    return i_out, r_out, li, lc
+    return i_out, r_out, Tensor(np.asarray(pair.t2_hr, dtype=i_out.data.dtype))
+
+
+def _loss_c(r_out, gt, lcfg):
+    return loss_c(r_out, gradient_map(gt, lcfg.epsilon_grad), lcfg)
+
+
+def _mean(terms):
+    """Batch mean, summed in sample order."""
+    return (1.0 / len(terms)) * sum(terms[1:], terms[0])
 
 
 def cmd_train(cfg: RunConfig):
@@ -77,21 +84,29 @@ def cmd_train(cfg: RunConfig):
             opt.lr = cfg.lr * 0.5 ** (epoch // cfg.lr_halve_epochs)
             order = rng.permutation(len(pairs))
             for start in range(0, len(order), cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
+                batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
                 with T.Tape() as tape:
-                    li_sum = lc_sum = None
-                    for idx in batch:
-                        _, _, li, lc = _sample_losses(pairs[idx], state, mc, lcfg)
-                        li_sum = li if li_sum is None else li_sum + li
-                        lc_sum = lc if lc_sum is None else lc_sum + lc
-                    scale = 1.0 / len(batch)
-                    li_mean = scale * li_sum
-                    lc_mean = scale * lc_sum
+                    li_terms, lc_terms, outs = [], [], []
+                    for pair in batch:
+                        i_out, r_out, gt = _forward(pair, state, mc)
+                        outs.append((r_out, gt))
+                        li_terms.append(loss_in(i_out, gt, lcfg))
+                        if cfg.lam != 0.0:
+                            lc_terms.append(_loss_c(r_out, gt, lcfg))
+                    objective = li_mean = _mean(li_terms)
+                    if cfg.lam != 0.0:
+                        lc_mean = _mean(lc_terms)
+                        objective = li_mean + cfg.lam * lc_mean
+                total = objective
+                if cfg.lam == 0.0:
+                    # weighted by exactly 0, loss_c would only add zeros to the
+                    # gradient: it is computed off the tape, for the log
+                    lc_mean = _mean([_loss_c(Tensor(r_out.data), gt, lcfg) for r_out, gt in outs])
                     total = li_mean + cfg.lam * lc_mean
                 if not np.isfinite(total.item()):
                     print(f"training diverged: non-finite loss at step {step + 1}", file=sys.stderr)
                     return 1
-                grads = T.backward(total, tape)
+                grads = T.backward(objective, tape)
                 opt.step(grads)
                 step += 1
                 log.writerow([step, f"{total.item():.8f}",
@@ -102,7 +117,8 @@ def cmd_train(cfg: RunConfig):
             chft.save_container(ckpt_path, state_arrays(state))
             if stop:
                 break
-    chft.save_container(ckpt_path, state_arrays(state))
+    if not cfg.epochs:  # every epoch ends with a write; without one, write the initial state
+        chft.save_container(ckpt_path, state_arrays(state))
     print(f"trained {step} steps ({count_parameters(state)} parameters); "
           f"checkpoint at {ckpt_path}")
     return 0
@@ -122,7 +138,8 @@ def cmd_eval(cfg: RunConfig, checkpoint):
     rows = []
     for sid in ids:
         pair = load_pair(cfg.data_dir, sid)
-        i_out, r_out, li, lc = _sample_losses(pair, state, mc, lcfg)
+        i_out, r_out, gt = _forward(pair, state, mc)
+        li, lc = loss_in(i_out, gt, lcfg), _loss_c(r_out, gt, lcfg)
         total = li.item() + cfg.lam * lc.item()
         up = bicubic_upsample(pair.t2_lr[:, :, 0].astype(np.float64), cfg.r)[:, :, None]
         rows.append([

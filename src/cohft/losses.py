@@ -36,36 +36,32 @@ def gradient_map(img, eps=GRAD_EPS):
     return T.sqrt(T.square(dx) + T.square(dy) + eps)
 
 
-def _gaussian_kernel(side, sigma, dtype):
+def gaussian_taps(side, sigma):
+    """1-D Gaussian of unit sum; outer(g, g) is the SSIM window of Wang et al. 2004."""
     half = (side - 1) / 2.0
     coords = np.arange(side) - half
     g = np.exp(-(coords ** 2) / (2.0 * sigma ** 2))
-    k = np.outer(g, g)
-    k /= k.sum()
-    return k.astype(dtype)[:, :, None, None]
+    return g / g.sum()
 
 
 def ssim(a, b, cfg: LossConfig = LossConfig()):
     """Mean of the Gaussian-windowed local SSIM map; inputs [h, w, 1] in [0, 1]."""
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
+    if a.shape != b.shape or a.shape[-1] != 1:
+        raise ShapeError(f"ssim needs two [h, w, 1] images, got {a.shape} and {b.shape}")
     h, w = a.shape[-3], a.shape[-2]
     if h < cfg.ssim_window or w < cfg.ssim_window:
         raise ShapeError(f"ssim needs extents >= {cfg.ssim_window}, got {h}x{w}")
-    kern = Tensor(_gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma, a.dtype))
-    zero_b = Tensor(np.zeros(1, dtype=a.data.dtype))
-
-    def blur(x):
-        return T.conv2d(x, kern, zero_b, stride=1, pad=0)
-
-    mu_a = blur(a)
-    mu_b = blur(b)
+    taps = gaussian_taps(cfg.ssim_window, cfg.ssim_sigma)
+    mu_a, mu_b, e_aa, e_bb, e_ab = (T.separable_blur(x, taps)
+                                    for x in (a, b, a * a, b * b, a * b))
     mu_aa = mu_a * mu_a
     mu_bb = mu_b * mu_b
     mu_ab = mu_a * mu_b
-    var_a = blur(a * a) - mu_aa
-    var_b = blur(b * b) - mu_bb
-    cov = blur(a * b) - mu_ab
+    var_a = e_aa - mu_aa
+    var_b = e_bb - mu_bb
+    cov = e_ab - mu_ab
     num = (2.0 * mu_ab + cfg.c1) * (2.0 * cov + cfg.c2)
     den = (mu_aa + mu_bb + cfg.c1) * (var_a + var_b + cfg.c2)
     return T.tmean(num / den)
@@ -85,12 +81,24 @@ def psnr(a, b):
     return 10.0 * math.log10(1.0 / err)
 
 
+def _mse_minus_ssim(out, target, cfg):
+    """alpha * MSE - (1 - alpha) * SSIM, the form of both loss terms.
+
+    At alpha == 1 the SSIM half is left out: its weight is exactly 0, so
+    while SSIM is finite the value is MSE bit for bit, and the gradient would
+    only gain zeros.
+    """
+    if cfg.alpha == 1.0:
+        return mse(out, target)
+    return cfg.alpha * mse(out, target) - (1.0 - cfg.alpha) * ssim(out, target, cfg)
+
+
 def loss_in(i_out, i_gt, cfg: LossConfig = LossConfig()):
-    return cfg.alpha * mse(i_out, i_gt) - (1.0 - cfg.alpha) * ssim(i_out, i_gt, cfg)
+    return _mse_minus_ssim(i_out, i_gt, cfg)
 
 
 def loss_c(r_out, r_gt, cfg: LossConfig = LossConfig()):
-    return cfg.alpha * mse(r_out, r_gt) - (1.0 - cfg.alpha) * ssim(r_out, r_gt, cfg)
+    return _mse_minus_ssim(r_out, r_gt, cfg)
 
 
 def total_loss(i_out, r_out, i_gt, cfg: LossConfig = LossConfig()):

@@ -516,6 +516,50 @@ def conv2d(x, weights, bias, stride=1, pad=0):
     return _record("conv2d", out, (x, weights, bias), bw)
 
 
+def separable_blur(x, taps):
+    """Valid-mode blur of each channel of [.., h, w, c] with the kernel outer(taps, taps).
+
+    Equal to ``conv2d`` with that kernel on the diagonal of [k, k, c, c], but
+    runs k shifted multiply-adds along the rows, then k along the columns.
+    The taps are a constant: the backward returns only the input gradient,
+    the same passes transposed (scatter-adds with the same taps).
+    """
+    taps = np.asarray(taps, dtype=x.dtype)
+    if taps.ndim != 1 or x.data.ndim < 3:
+        raise ShapeError(f"separable_blur needs 1-D taps and [..,h,w,c], got "
+                         f"{taps.shape} and {x.data.shape}")
+    k = taps.shape[0]
+    h, w = x.data.shape[-3:-1]
+    if h < k or w < k:
+        raise ShapeError(f"separable_blur extents {h}x{w} smaller than k={k}")
+    ho, wo = h - k + 1, w - k + 1
+
+    def along(axis, i, n):
+        # index of the extent-n slice that starts at i on spatial axis -3 or -2
+        return (Ellipsis, slice(i, i + n)) + (slice(None),) * (-axis - 1)
+
+    def correlate(a, axis, n):
+        acc = taps[0] * a[along(axis, 0, n)]
+        for i in range(1, k):
+            acc += taps[i] * a[along(axis, i, n)]
+        return acc
+
+    def correlate_t(g, axis, n):
+        full = list(g.shape)
+        full[axis] += k - 1
+        acc = np.zeros(full, dtype=g.dtype)
+        for i in range(k):
+            acc[along(axis, i, n)] += taps[i] * g
+        return acc
+
+    out = correlate(correlate(x.data, -3, ho), -2, wo)
+
+    def bw(g):
+        return (correlate_t(correlate_t(g, -2, wo), -3, ho),)
+
+    return _record("separable_blur", out, (x,), bw)
+
+
 # ---------------------------------------------------------------------------
 # patch tokenization and pixel shuffle
 

@@ -11,7 +11,7 @@ import cohft
 from cohft import chft, cli
 from cohft import tensor as T
 from cohft.data import load_pair, read_manifest
-from cohft.losses import LossConfig, ssim
+from cohft.losses import LossConfig, gradient_map, loss_c, ssim
 from cohft.model import init_model, preset, state_arrays
 from cohft.resample import bicubic_upsample
 from cohft.tensor import Tensor
@@ -73,6 +73,61 @@ def test_zero_epoch_checkpoint_equals_init(tmp_path):
         assert np.array_equal(saved[name], arr), name
 
 
+def test_each_checkpoint_state_is_written_once(tmp_path, monkeypatch):
+    # 4 samples at batch 2 are two steps an epoch: the first epoch ends at
+    # step 2, and the steps=3 stop ends the run in the middle of the second
+    data, out = gen(tmp_path, samples=4)
+    writes = []
+    save = chft.save_container
+
+    def counting_save(path, arrays):
+        writes.append({name: arr.copy() for name, arr in arrays})
+        return save(path, arrays)
+
+    monkeypatch.setattr(chft, "save_container", counting_save)
+    rc = run(["--set", f"data_dir={data}", "--set", "steps=3", "--set", "batch_size=2",
+              "--out", str(out), "--seed", "0", "train"])
+    assert rc == 0
+    assert len(writes) == 2
+    saved = chft.load_container(out / "checkpoint.chft")
+    assert all(np.array_equal(saved[name], arr) for name, arr in writes[-1].items())
+    assert not all(np.array_equal(saved[name], arr) for name, arr in writes[0].items())
+
+
+@pytest.mark.parametrize("alpha,lam,on_tape", [(1.0, 0.0, False), (0.95, 0.5, True)])
+def test_zero_weighted_terms_stay_off_the_tape(tmp_path, monkeypatch, alpha, lam, on_tape):
+    data, out = gen(tmp_path, samples=1)
+    tapes, outputs = [], []
+    backward, forward = T.backward, cli.forward
+
+    def keep_tape(loss, tape):
+        tapes.append(tape)
+        return backward(loss, tape)
+
+    def keep_outputs(*args):
+        outputs.append(forward(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(T, "backward", keep_tape)
+    monkeypatch.setattr(cli, "forward", keep_outputs)
+    rc = run(["--set", f"data_dir={data}", "--set", "steps=1", "--set", "batch_size=1",
+              "--set", f"alpha={alpha}", "--set", f"lam={lam}",
+              "--out", str(out), "--seed", "0", "train"])
+    assert rc == 0
+    ops = {node.op for node in tapes[0].nodes}
+    for op in ("separable_blur", "forward_diff"):
+        assert (op in ops) == on_tape, op
+    # the log still shows loss_c, computed as it would be directly
+    (_, r_out), = outputs
+    pair = load_pair(data, read_manifest(data)[0])
+    lcfg = LossConfig(alpha=alpha, lam=lam)
+    gt = Tensor(np.asarray(pair.t2_hr, dtype=r_out.dtype))
+    want = loss_c(Tensor(r_out.data), gradient_map(gt, lcfg.epsilon_grad), lcfg).item()
+    with open(out / "train_log.csv") as f:
+        (row,) = list(csv.DictReader(f))
+    assert row["loss_c"] == f"{want:.8f}"
+
+
 def test_eval_report(tmp_path):
     data, out = gen(tmp_path)
     run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"])
@@ -117,11 +172,13 @@ def test_infer_safe_start_equals_bicubic(tmp_path):
 def test_divergence_guard(tmp_path, monkeypatch, capsys):
     data, out = gen(tmp_path)
 
-    def poisoned(pair, state, mc, lcfg):
-        bad = Tensor(np.array(np.nan, dtype=np.float32))
-        return None, None, bad, bad
+    forward = cli.forward
 
-    monkeypatch.setattr(cli, "_sample_losses", poisoned)
+    def poisoned(*args):
+        i_out, r_out = forward(*args)
+        return i_out * np.nan, r_out
+
+    monkeypatch.setattr(cli, "forward", poisoned)
     rc = run(["--set", f"data_dir={data}", "--set", "steps=1", "--out", str(out), "train"])
     assert rc == 1
     assert "diverged" in capsys.readouterr().err

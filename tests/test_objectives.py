@@ -5,6 +5,7 @@ import pytest
 from scipy.signal import convolve2d
 
 from cohft import tensor as T
+from cohft.checks import check_separable_blur_matches_conv2d
 from cohft.losses import (GRAD_EPS, LossConfig, gradient_map, loss_c, loss_in, mse,
                           psnr, ssim, total_loss)
 from cohft.tensor import ShapeError, Tape, Tensor, backward
@@ -62,6 +63,11 @@ def test_ssim_matches_independent_oracle():
     b = np.clip(a + rng.normal(0, 0.05, a.shape), 0, 1)
     got = ssim(Tensor(a[:, :, None]), Tensor(b[:, :, None]), cfg).item()
     assert abs(got - ssim_oracle(a, b, cfg)) <= 1e-10
+
+
+def test_ssim_blur_matches_conv2d():
+    # ssim's one blur call against conv2d with the full 11x11 window, at f64
+    check_separable_blur_matches_conv2d(np.random.default_rng(9))
 
 
 def test_ssim_self_is_exactly_one():

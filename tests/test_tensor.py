@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cohft import tensor as T
+from cohft.checks import check_separable_blur_matches_conv2d
 from cohft.tensor import ShapeError, Tape, TapeError, Tensor, backward
 
 
@@ -316,6 +319,35 @@ def test_conv2d_tape_keeps_no_patch_buffer(k, stride, pad):
     held = [a.nbytes for a in closure_arrays(node.backward_fn)
             if a is not w.data and a is not b.data]
     assert held and max(held) <= padded
+
+
+@given(h=st.integers(11, 40), w=st.integers(11, 40), c=st.integers(1, 5),
+       lead=st.sampled_from([(), (1,), (3,)]), seed=st.integers(0, 2 ** 32 - 1))
+def test_separable_blur_matches_conv2d_property(h, w, c, lead, seed):
+    check_separable_blur_matches_conv2d(np.random.default_rng(seed), [lead + (h, w, c)])
+
+
+def test_separable_blur_gradients():
+    # asymmetric taps of even length: a backward that reversed the taps or
+    # swapped the passes would pass with the symmetric SSIM window
+    rng = np.random.default_rng(20)
+    taps = rng.uniform(-1.0, 1.0, 4)
+    x = Tensor(rng.standard_normal((2, 7, 9, 3)), requires_grad=True)
+    assert_grads_match(lambda: T.tsum(T.square(T.separable_blur(x, taps))), x, rng, n=10)
+    y = T.separable_blur(Tensor(x.data.astype(np.float32)), taps)
+    assert y.shape == (2, 4, 6, 3) and y.dtype == np.float32
+
+
+def test_separable_blur_shape_errors():
+    x = Tensor(np.zeros((10, 12, 1)))
+    with pytest.raises(ShapeError):
+        T.separable_blur(x, np.ones(11))
+    with pytest.raises(ShapeError):
+        T.separable_blur(x, np.ones((3, 3)))
+    with pytest.raises(ShapeError):
+        T.separable_blur(Tensor(np.zeros((12, 12))), np.ones(3))
+
+
 def test_unfold_fold_identity():
     rng = np.random.default_rng(15)
     x = Tensor(rng.standard_normal((6, 6, 3)))
