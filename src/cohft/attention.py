@@ -9,6 +9,7 @@ added back to X1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +133,9 @@ def intra_head_correlation(q, k):
 
     q [.., N, d'] and k [.., N', d'] give [.., N, N'].
     """
-    d_prime = q.shape[-1]
-    return T.softmax(T.matmul(q, _swap_last(k)) * (1.0 / np.sqrt(d_prime)), axis=-1)
+    # scaling q [.., N, d'] costs N d' multiplies, the logits N N'
+    q = q * (1.0 / math.sqrt(q.shape[-1]))
+    return T.softmax(T.matmul(q, _swap_last(k)), axis=-1)
 
 
 def renew_values(s, v):

@@ -6,6 +6,7 @@ All checks run at 64-bit precision.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,28 @@ def check_primitive_gradients(rng):
     ]
     for _, fn, params in cases:
         finite_diff_check(fn, params, 4, rng, tol=1e-5)
+
+
+def check_erf_matches_math_erf(rng):
+    """T.erf against the standard library's math.erf, at f64 and at f32 (which it keeps).
+
+    A grid on [-10, 10] plus the edges: signed zero, the smallest subnormal,
+    1e-8, the branch point 1 and the clamp point 8 with their neighbours,
+    +-30, +-inf and NaN.
+    """
+    edges = [0.0, -0.0, 5e-324, 1e-8, 30.0, -30.0, math.inf, -math.inf, math.nan]
+    for v in (1.0, -1.0, 8.0, -8.0):
+        edges += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+    x = np.concatenate([np.linspace(-10.0, 10.0, 4001), edges])
+    for dtype, tol in ((np.float64, 2.3e-16), (np.float32, 2.4e-7)):
+        xd = x.astype(dtype)
+        got = T.erf(xd)
+        assert got.dtype == dtype, (dtype, got.dtype)
+        want = np.array([math.erf(v) for v in xd.tolist()])
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), f"erf NaN pattern differs at {dtype.__name__}"
+        err = np.abs(got[~nan] - want[~nan]).max()
+        assert err <= tol, f"erf differs from math.erf by {err:.3g} at {dtype.__name__}"
 
 
 BLUR_SHAPES = ((11, 11, 1), (23, 17, 3), (2, 16, 14, 5))
@@ -430,6 +453,7 @@ ALL_CHECKS = [
     ("tensor-core/pixel-shuffle-bijection", check_pixel_shuffle_bijection),
     ("tensor-core/softmax-row-sums-and-shift-invariance", check_softmax_properties),
     ("tensor-core/primitive-finite-difference-gradients", check_primitive_gradients),
+    ("tensor-core/erf-matches-math-erf", check_erf_matches_math_erf),
     ("tensor-core/separable-blur-matches-conv2d", check_separable_blur_matches_conv2d),
     ("tensor-core/forward-determinism", check_forward_determinism),
     ("attention-core/row-stochasticity", check_attention_row_stochastic),

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 LN_EPS = 1e-5
 
@@ -180,9 +179,11 @@ def add(a, b):
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
     out = a.data + b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if need_a else None,
+                _unbroadcast(g, b.data.shape) if need_b else None)
 
     return _record("add", out, (a, b), bw)
 
@@ -191,9 +192,11 @@ def sub(a, b):
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
     out = a.data - b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if need_a else None,
+                _unbroadcast(-g, b.data.shape) if need_b else None)
 
     return _record("sub", out, (a, b), bw)
 
@@ -203,9 +206,11 @@ def mul(a, b):
     b = _as_tensor(b, a)
     ad, bd = a.data, b.data
     out = ad * bd
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return (_unbroadcast(g * bd, ad.shape) if need_a else None,
+                _unbroadcast(g * ad, bd.shape) if need_b else None)
 
     return _record("mul", out, (a, b), bw)
 
@@ -215,9 +220,11 @@ def div(a, b):
     b = _as_tensor(b, a)
     ad, bd = a.data, b.data
     out = ad / bd
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)
+        return (_unbroadcast(g / bd, ad.shape) if need_a else None,
+                _unbroadcast(-g * ad / (bd * bd), bd.shape) if need_b else None)
 
     return _record("div", out, (a, b), bw)
 
@@ -238,6 +245,70 @@ def sqrt(a):
 def square(a):
     ad = a.data
     return _record("square", ad * ad, (a,), lambda g: (g * (2.0 * ad),))
+
+
+# erf from the rational approximations of Cephes ndtr.c (after Cody 1969,
+# "Rational Chebyshev approximations for the error function"), highest power
+# first; _ERF_U and _ERF_Q are monic, their leading 1 is written out
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+          4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERF_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+          9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
+
+
+# erf makes about 50 elementwise passes; run block by block, its temporaries
+# stay in a core's L2 cache (on a whole 240x240x16 map the passes were
+# memory-bound and took twice as long)
+_ERF_BLOCK = 1 << 15
+
+
+def _polyval(x, coefs):
+    acc = x * coefs[0]
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf_block(x):
+    small = np.clip(x, -1.0, 1.0)  # the |x| >= 1 entries are discarded; clipped, they cannot overflow
+    z = small * small
+    lo = _polyval(z, _ERF_T)
+    lo *= small
+    lo /= _polyval(z, _ERF_U)
+    a = np.abs(x)
+    near = a < 1.0
+    np.minimum(a, 8.0, out=a)
+    hi = _polyval(a, _ERF_P)
+    hi /= _polyval(a, _ERF_Q)
+    np.square(a, out=a)
+    np.negative(a, out=a)
+    hi *= np.exp(a, out=a)
+    np.subtract(1.0, hi, out=hi)
+    np.copysign(hi, x, out=hi)
+    return np.where(near, lo, hi)
+
+
+def erf(x):
+    """Error function of a float array, evaluated in its dtype.
+
+    x T(x^2)/U(x^2) for |x| < 1, else sign(x) (1 - exp(-a^2) P(a)/Q(a)) with
+    a = min(|x|, 8), beyond which erf is 1 at f64.  Both branches run over
+    every element and one where picks: computing each on its masked subset
+    measured slower.  erf(+-inf) = +-1 and NaN stays NaN.
+    """
+    flat = np.ascontiguousarray(x).reshape(-1)
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _ERF_BLOCK):
+        out[i:i + _ERF_BLOCK] = _erf_block(flat[i:i + _ERF_BLOCK])
+    return out.reshape(x.shape)
 
 
 def _gelu_grad(x, phi):
@@ -272,7 +343,7 @@ def leaky_relu(a, slope=0.2):
     out = np.where(ad >= 0, ad, slope * ad)
 
     def bw(g):
-        return (g * np.where(ad >= 0, 1.0, slope).astype(ad.dtype),)
+        return (np.where(ad >= 0, g, slope * g),)
 
     return _record("leaky_relu", out, (a,), bw)
 
@@ -384,12 +455,16 @@ def matmul(a, b):
 def softmax(a, axis=-1):
     """Numerically stabilized softmax: subtracts the axis max before exp."""
     x = a.data
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        dx = g * out
+        dot = dx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=dx)
+        dx *= out
+        return (dx,)
 
     return _record("softmax", out, (a,), bw)
 
@@ -401,24 +476,34 @@ def layer_norm(a, gain, shift):
         raise ShapeError(f"layer_norm affine must have shape ({d},), got "
                          f"{gain.data.shape} / {shift.data.shape}")
 
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    out = xhat * gain.data + shift.data
+    # every sum runs as a GEMV on the [n, d] rows: a row sum against ones(d),
+    # a column sum (dgain, dshift) as ones(n) against the rows
+    xf = a.data.reshape(-1, d)
+    ones_d = np.ones(d, dtype=xf.dtype)
+    xhat = xf - ((xf @ ones_d) / d)[:, None]
+    var = (np.square(xhat) @ ones_d) / d
+    inv = (1.0 / np.sqrt(var + LN_EPS))[:, None]
+    xhat *= inv
+    out = xhat * gain.data
+    out += shift.data
 
     def bw(g):
-        sum_axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=sum_axes)
-        dshift = g.sum(axis=sum_axes)
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgain, dshift
+        gf = g.reshape(-1, d)
+        ones_n = np.ones(gf.shape[0], dtype=gf.dtype)
+        gx = gf * xhat
+        dgain = ones_n @ gx
+        dshift = ones_n @ gf
+        # with dxhat = g * gain: dx = inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat))
+        m1 = (gf @ gain.data) / d
+        m2 = (gx @ gain.data) / d
+        dx = xhat * m2[:, None]
+        dx += m1[:, None]
+        np.multiply(gf, gain.data, out=gx)
+        np.subtract(gx, dx, out=dx)
+        dx *= inv
+        return dx.reshape(g.shape), dgain, dshift
 
-    return _record("layer_norm", out, (a, gain, shift), bw)
+    return _record("layer_norm", out.reshape(a.data.shape), (a, gain, shift), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +531,8 @@ def conv2d(x, weights, bias, stride=1, pad=0):
     if bias.data.shape != (c_out,):
         raise ShapeError(f"conv2d bias must have shape ({c_out},), got {bias.data.shape}")
     lead = x.data.shape[:-3]
+    # no gradient for an operand that needs none, such as a raw input image
+    need_x, need_w, need_b = x.requires_grad, weights.requires_grad, bias.requires_grad
     if stride == 1 and k % 2:
         hp, wp = h + 2 * pad, w + 2 * pad
         if hp < k or wp < k:
@@ -464,8 +551,9 @@ def conv2d(x, weights, bias, stride=1, pad=0):
             return xd.reshape(-1, c_in)
 
         xf = padded_rows(x.data)
-        n = xf.shape[0] - reach
-        acc = np.empty((xf.shape[0], c_out), dtype=np.result_type(x.data, wd))
+        rows = xf.shape[0]
+        n = rows - reach
+        acc = np.empty((rows, c_out), dtype=np.result_type(x.data, wd))
         for t, (i, j, off) in enumerate(taps):
             if t:
                 acc[:n] += xf[off:off + n] @ wd[i, j]
@@ -474,20 +562,25 @@ def conv2d(x, weights, bias, stride=1, pad=0):
         out = acc.reshape(lead + (hp, wp, c_out))[..., :ho, :wo, :] + bias.data
 
         def bw(g):
-            xf = padded_rows(x.data)
-            n = xf.shape[0] - reach
             gz = g
             if reach:
                 gz = np.zeros(lead + (hp, wp, c_out), dtype=g.dtype)
                 gz[..., :ho, :wo, :] = g
             gf = gz.reshape(-1, c_out)[:n]
-            dw = np.empty(wd.shape, dtype=np.result_type(xf, gf))
-            dxf = np.zeros((xf.shape[0], c_in), dtype=g.dtype)
-            for i, j, off in taps:
-                dw[i, j] = xf[off:off + n].T @ gf
-                dxf[off:off + n] += gf @ wd[i, j].T
-            dx = dxf.reshape(lead + (hp, wp, c_in))[..., pad:pad + h, pad:pad + w, :]
-            return dx, dw, g.sum(axis=tuple(range(g.ndim - 1)))
+            dx = dw = db = None
+            if need_w:
+                xf = padded_rows(x.data)
+                dw = np.empty(wd.shape, dtype=np.result_type(xf, gf))
+                for i, j, off in taps:
+                    dw[i, j] = xf[off:off + n].T @ gf
+            if need_x:
+                dxf = np.zeros((rows, c_in), dtype=g.dtype)
+                for i, j, off in taps:
+                    dxf[off:off + n] += gf @ wd[i, j].T
+                dx = dxf.reshape(lead + (hp, wp, c_in))[..., pad:pad + h, pad:pad + w, :]
+            if need_b:
+                db = g.sum(axis=tuple(range(g.ndim - 1)))
+            return dx, dw, db
     elif stride == k and pad == 0:
         if h % k or w % k:
             raise ShapeError(f"conv2d extents {h}x{w} not divisible by stride=k={k}")
@@ -505,10 +598,15 @@ def conv2d(x, weights, bias, stride=1, pad=0):
 
         def bw(g):
             gf = g.reshape(-1, c_out)
-            dw = (depth_rows(x.data).T @ gf).reshape(wd.shape)
-            dcols = (gf @ wd.reshape(k * k * c_in, c_out).T).reshape(lead + (ho, wo, k, k, c_in))
-            dx = dcols.transpose(inv).reshape(x.data.shape)
-            return dx, dw, g.sum(axis=tuple(range(g.ndim - 1)))
+            dx = dw = db = None
+            if need_w:
+                dw = (depth_rows(x.data).T @ gf).reshape(wd.shape)
+            if need_x:
+                dcols = (gf @ wd.reshape(k * k * c_in, c_out).T).reshape(lead + (ho, wo, k, k, c_in))
+                dx = dcols.transpose(inv).reshape(x.data.shape)
+            if need_b:
+                db = g.sum(axis=tuple(range(g.ndim - 1)))
+            return dx, dw, db
     else:
         raise ShapeError(f"conv2d supports stride 1 with odd k, or stride == k with pad 0; "
                          f"got k={k}, stride={stride}, pad={pad}")

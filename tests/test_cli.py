@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -249,3 +250,34 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
     run_ = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run_.returncode == 0, run_.stderr
     assert run_.stdout.strip() == "False"
+
+
+def test_train_eval_infer_load_no_scipy(tmp_path):
+    # erf is numpy and only gen-data imports scipy, so a process that trains,
+    # evaluates and infers ends with no scipy module loaded
+    src = str(Path(cohft.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    data, out = tmp_path / "data", tmp_path / "out"
+    gen_data = subprocess.run(
+        [sys.executable, "-m", "cohft.cli", "--set", f"data_dir={data}", "--set", "samples=2",
+         "--set", "side=24", "--out", str(out), "--seed", "0", "gen-data"],
+        env=env, capture_output=True, text=True)
+    assert gen_data.returncode == 0, gen_data.stderr
+    code = textwrap.dedent("""
+        import sys
+        from cohft import cli
+        data, out = sys.argv[1:]
+        common = ["--set", f"data_dir={data}", "--out", out]
+        ckpt = f"{out}/checkpoint.chft"
+        sample = f"{data}/sample_00000"
+        assert cli.main(common + ["--set", "steps=2", "--set", "batch_size=2", "train"]) == 0
+        assert cli.main(common + ["eval", ckpt]) == 0
+        assert cli.main(common + ["infer", ckpt, *(f"{sample}.{field}.chft"
+                                                   for field in ("t2_lr", "t2_lr_grad", "t1_hr_grad"))]) == 0
+        print(sorted(name for name in sys.modules if name.startswith("scipy")))
+    """)
+    runs = subprocess.run([sys.executable, "-c", code, str(data), str(out)],
+                          env=env, capture_output=True, text=True)
+    assert runs.returncode == 0, runs.stderr
+    assert runs.stdout.splitlines()[-1] == "[]", runs.stdout

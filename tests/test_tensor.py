@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohft import tensor as T
-from cohft.checks import check_separable_blur_matches_conv2d
+from cohft.checks import check_erf_matches_math_erf, check_separable_blur_matches_conv2d
 from cohft.tensor import ShapeError, Tape, TapeError, Tensor, backward
 
 
@@ -79,6 +79,10 @@ def test_gelu_matches_exact_form():
     assert grad_of(lambda: T.tsum(T.gelu(x32)), x32).dtype == np.float32
 
 
+def test_erf_matches_math_erf():
+    check_erf_matches_math_erf(np.random.default_rng(0))
+
+
 def test_sigmoid_leaky_relu():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((15,))
@@ -88,6 +92,15 @@ def test_sigmoid_leaky_relu():
     xt = Tensor(x + 0.05, requires_grad=True)  # keep away from the kink
     assert_grads_match(lambda: T.tsum(T.square(T.leaky_relu(xt, 0.2))), xt, rng)
     assert_grads_match(lambda: T.tsum(T.square(T.sigmoid(xt))), xt, rng)
+    g = rng.standard_normal(15)
+    for dtype in (np.float64, np.float32):
+        xd = x.astype(dtype)
+        with Tape() as tape:
+            y = T.leaky_relu(Tensor(xd, requires_grad=True), 0.2)
+        (gx,) = tape.nodes[-1].backward_fn(g.astype(dtype))
+        assert y.dtype == dtype and gx.dtype == dtype
+        # bit for bit the gradient of the f64 slope mask cast to the dtype
+        assert np.array_equal(gx, g.astype(dtype) * np.where(xd >= 0, 1.0, 0.2).astype(dtype))
 
 
 def test_sum_mean_axes():
@@ -196,6 +209,70 @@ def test_layer_norm_moments_and_gradients():
     assert_grads_match(loss, xt, rng)
     assert_grads_match(loss, gain, rng)
     assert_grads_match(loss, shift, rng)
+
+
+def test_layer_norm_matches_two_pass_reference():
+    rng = np.random.default_rng(21)
+    for lead, d, transposed in itertools.product([(), (3,), (2, 5)], [1, 2, 4, 16], [False, True]):
+        if transposed:  # a non-contiguous input: the last axis has stride > itemsize
+            x = rng.standard_normal((d,) + lead[::-1]).T * 3.0 + 2.0
+        else:
+            x = rng.standard_normal(lead + (d,)) * 3.0 + 2.0
+        gain, shift, g = rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal(x.shape)
+        ts = [Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True),
+              Tensor(shift, requires_grad=True)]
+        with Tape() as tape:
+            y = T.layer_norm(*ts)
+        grads = tape.nodes[-1].backward_fn(g)
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + T.LN_EPS)
+        xhat = (x - mu) * inv
+        dxhat = g * gain
+        sum_axes = tuple(range(x.ndim - 1))
+        want = [xhat * gain + shift,
+                inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                       - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)),
+                (g * xhat).sum(axis=sum_axes), g.sum(axis=sum_axes)]
+        for got, ref in zip([y.data, *grads], want):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12, (lead, d, transposed)
+
+
+def test_constant_operands_get_no_gradient():
+    # a scalar or other constant operand gets None from backward_fn; the other
+    # operand's gradient is bit for bit the one computed beside the constant's
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.uniform(0.5, 2.0, (4, 3)), requires_grad=True)
+    g = rng.standard_normal((4, 3))
+    for op, c in ((T.mul, 2.0), (T.add, 1e-6), (T.sub, 0.5), (T.div, 3.0)):
+        for const_first in (False, True):
+            grads = []
+            for c_t in (c, Tensor(np.asarray(c), requires_grad=True)):
+                operands = (c_t, x) if const_first else (x, c_t)
+                with Tape() as tape:
+                    op(*operands)
+                gx_gc = tape.nodes[-1].backward_fn(g)
+                grads.append(gx_gc[::-1] if const_first else gx_gc)
+            (gx, gc), (gx_ref, gc_ref) = grads
+            assert gc is None and gc_ref is not None
+            assert np.array_equal(gx, gx_ref), (op.__name__, const_first)
+
+
+def test_conv2d_skips_gradient_of_constant_input():
+    rng = np.random.default_rng(23)
+    for k, stride, pad in CONV_CASES:
+        x, w, b = conv_inputs(k, (2,), np.float64, 23)
+        out_shape = T.conv2d(x, w, b, stride=stride, pad=pad).shape
+        g = rng.standard_normal(out_shape)
+        grads = []
+        for x_t in (Tensor(x.data), x):
+            with Tape() as tape:
+                T.conv2d(x_t, w, b, stride=stride, pad=pad)
+            grads.append(tape.nodes[-1].backward_fn(g))
+        (dx, dw, db), (dx_ref, dw_ref, db_ref) = grads
+        assert dx is None and dx_ref is not None
+        assert np.array_equal(dw, dw_ref) and np.array_equal(db, db_ref), (k, stride, pad)
 
 
 def conv_oracle(x, w, b, stride, pad):
