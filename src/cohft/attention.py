@@ -52,8 +52,7 @@ class AttentionWeights:
     embed2: EmbedWeights   # rho x rho stride-rho conv path for X2
     wq: Tensor             # [M, d p^2, d']
     bq: Tensor             # [M, d']
-    wk: Tensor
-    bk: Tensor
+    wk: Tensor             # no bias: a key bias adds one constant per softmax row, which cancels
     wv: Tensor
     bv: Tensor
     out_w: Tensor          # 3x3 conv, zero-initialized for a safe start
@@ -89,7 +88,7 @@ def init_attention_weights(cfg: AttentionConfig, rng, dtype=np.float64, safe_sta
         embed1=_init_embed(cfg.d, 1, rng, dtype),
         embed2=_init_embed(cfg.d, cfg.rho, rng, dtype),
         wq=_uniform(rng, (cfg.M, dp2, dp), dp2, dtype), bq=_zeros((cfg.M, dp), dtype),
-        wk=_uniform(rng, (cfg.M, dp2, dp), dp2, dtype), bk=_zeros((cfg.M, dp), dtype),
+        wk=_uniform(rng, (cfg.M, dp2, dp), dp2, dtype),
         wv=_uniform(rng, (cfg.M, dp2, dp), dp2, dtype), bv=_zeros((cfg.M, dp), dtype),
         out_w=_zeros((3, 3, cfg.d, cfg.d), dtype), out_b=_zeros(cfg.d, dtype),
     )
@@ -153,11 +152,10 @@ def remix_heads(vt, a):
     return T.matmul(a, vt) + T.tsum(vt, axis=-2, keepdims=True)
 
 
-def _heads_linear(tokens, w, b):
-    # tokens [.., N, D], w [M, D, d'], b [M, d'] -> [.., M, N, d']; one BLAS
-    # contraction over D for all heads
-    proj = T.einsum("...nd,mde->...mne", tokens, w)
-    return proj + T.reshape(b, (b.shape[0], 1, b.shape[1]))
+def _heads_linear(tokens, w):
+    # tokens [.., N, D], w [M, D, d'] -> [.., M, N, d']; one BLAS contraction
+    # over D for all heads
+    return T.einsum("...nd,mde->...mne", tokens, w)
 
 
 def basic_attention(x1, x2, weights: AttentionWeights, cfg: AttentionConfig,
@@ -172,9 +170,10 @@ def basic_attention(x1, x2, weights: AttentionWeights, cfg: AttentionConfig,
     t2 = tokenize(x2, weights, cfg, "reference")
     if t1.shape[-2] != t2.shape[-2]:
         raise ShapeError(f"token counts differ after registration: {t1.shape[-2]} vs {t2.shape[-2]}")
-    q = _heads_linear(t1, weights.wq, weights.bq)
-    k = _heads_linear(t2, weights.wk, weights.bk)
-    v = _heads_linear(t2, weights.wv, weights.bv)
+    bias_shape = (cfg.M, 1, cfg.d_prime)
+    q = _heads_linear(t1, weights.wq) + T.reshape(weights.bq, bias_shape)
+    k = _heads_linear(t2, weights.wk)
+    v = _heads_linear(t2, weights.wv) + T.reshape(weights.bv, bias_shape)
     vhat = renew_values(intra_head_correlation(q, k), v)  # [.., M, N, d']
     nb = vhat.ndim - 3
     vt = T.transpose(vhat, tuple(range(nb)) + (nb + 1, nb, nb + 2))  # [.., N, M, d']

@@ -18,7 +18,8 @@ from .crossmod import (IN_EPS, adain, channel_moments, init_adain_weights,
                        init_inter_modality_weights, instance_standardize,
                        inter_modality_attention)
 from .data import PhantomSpec, make_pair, synth_phantom
-from .losses import LossConfig, gaussian_taps, gradient_map, ssim, total_loss
+from .losses import (SSIM_SIGMA, SSIM_WINDOW, LossConfig, gaussian_taps, gradient_map, ssim,
+                     total_loss)
 from .model import (count_parameters, forward, init_model, named_parameters, preset)
 from .resample import bicubic_upsample
 from .tensor import Tensor
@@ -149,9 +150,7 @@ def check_separable_blur_matches_conv2d(rng, shapes=BLUR_SHAPES):
 
     Runs the SSIM window and random (asymmetric) taps on each [.., h, w, c] shape.
     """
-    window = LossConfig()
-    for taps in (gaussian_taps(window.ssim_window, window.ssim_sigma),
-                 rng.uniform(0.0, 1.0, window.ssim_window)):
+    for taps in (gaussian_taps(SSIM_WINDOW, SSIM_SIGMA), rng.uniform(0.0, 1.0, SSIM_WINDOW)):
         k = taps.shape[0]
         for shape in shapes:
             c = shape[-1]
@@ -306,7 +305,7 @@ def check_adain_alignment(rng):
     for _ in range(20):
         x1 = Tensor(rng.standard_normal((6, 6, 4)) * rng.uniform(0.5, 2.0) + rng.normal())
         x2 = Tensor(rng.standard_normal((12, 12, 4)) * rng.uniform(0.5, 2.0))
-        w = init_adain_weights(4, 2, rng)  # beta/gamma convs start at zero
+        w = init_adain_weights(4, 2, rng)  # the gamma conv starts at zero
         out = adain(x1, x2, w, 2)
         mu1, sigma1 = channel_moments(x1)
         assert np.all(np.abs(out.data.mean(axis=(0, 1)) - mu1.data) <= 1e-4)
@@ -380,9 +379,42 @@ def check_network_gradients(rng, n_samples=100):
     return finite_diff_check(loss, params, n_samples, rng, step=1e-5, tol=1e-4)
 
 
+LIVE_GRAD_RATIO = 1e-8
+
+
+def dead_parameters(state, cfg, rng, side):
+    """Names of the arrays whose gradient norm is below LIVE_GRAD_RATIO x the global norm.
+
+    One forward and backward of total_loss, default alpha and lam, on random
+    side x side inputs at 64-bit precision.  A weight whose effect the math
+    cancels (a key bias under the softmax, a channel-constant shift under a
+    LayerNorm) gets a gradient at rounding level and is named here.
+    """
+    i_in, r_s, r_c = tiny_inputs(rng, side, cfg.r)
+    gt = Tensor(rng.uniform(0, 1, (cfg.r * side, cfg.r * side, 1)))
+    with T.Tape() as tape:
+        i_out, r_out = forward(i_in, r_s, r_c, state, cfg)
+        loss = total_loss(i_out, r_out, gt)
+    grads = T.backward(loss, tape)
+    params = list(named_parameters(state))
+    norms = [float(np.linalg.norm(grads[p])) if p in grads else 0.0 for _, p in params]
+    floor = LIVE_GRAD_RATIO * math.sqrt(sum(n * n for n in norms))
+    return [name for (name, _), n in zip(params, norms) if n < floor]
+
+
+def check_parameter_liveness(rng):
+    """Every parameter array moves the loss: tiny at 12 -> 24 and S at 30 -> 60, all weights live."""
+    dead = []
+    for name, side in (("tiny", 12), ("S", 30)):
+        cfg = preset(name, r=2)
+        state = init_model(cfg, seed=29, safe_start=False)
+        dead += [f"{name} {p}" for p in dead_parameters(state, cfg, rng, side)]
+    assert not dead, f"{len(dead)} parameter arrays get no gradient: {', '.join(dead)}"
+
+
 def check_parameter_count():
     # regression-locked count for the L preset at r=4.  The paper reports
-    # 152.106M parameters; this preset has 12,661,102, about 12x fewer, so it
+    # 152.106M parameters; this preset has 12,656,490, about 12x fewer, so it
     # does not match the published model size.  The constant only guards
     # against unintended change.
     state = init_model(preset("L", r=4), seed=0, dtype=np.float32)
@@ -391,7 +423,7 @@ def check_parameter_count():
     return n
 
 
-PARAM_COUNT_L_R4 = 12_661_102  # frozen after first computation; see check_parameter_count
+PARAM_COUNT_L_R4 = 12_656_490  # frozen after first computation; see check_parameter_count
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +502,7 @@ ALL_CHECKS = [
     ("srnet/safe-start-equals-bicubic", check_safe_start_equals_bicubic),
     ("srnet/ablation-switch-liveness", check_ablation_liveness),
     ("srnet/end-to-end-gradient-check", lambda rng: check_network_gradients(rng, 20)),
+    ("srnet/parameter-liveness", check_parameter_liveness),
     ("srnet/parameter-count-regression", lambda rng: check_parameter_count()),
     ("objectives/ssim-identities", check_ssim_identities),
     ("objectives/gradient-map-bounds", check_gradient_map_bounds),

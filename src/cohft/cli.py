@@ -145,10 +145,10 @@ def cmd_eval(cfg: RunConfig, checkpoint):
         rows.append([
             sid,
             psnr(i_out.data, pair.t2_hr),
-            ssim(Tensor(i_out.data.astype(np.float64)), Tensor(pair.t2_hr), lcfg).item(),
+            ssim(Tensor(i_out.data.astype(np.float64)), Tensor(pair.t2_hr)).item(),
             li.item(), lc.item(), total,
             psnr(up, pair.t2_hr),
-            ssim(Tensor(up), Tensor(pair.t2_hr), lcfg).item(),
+            ssim(Tensor(up), Tensor(pair.t2_hr)).item(),
         ])
     path = out / "metrics.csv"
     with open(path, "w", newline="") as f:

@@ -2,9 +2,14 @@
 
 The reference stream (HR guidance gradients, [rh, rw, d]) is standardized to
 zero mean / unit variance per channel, then re-dressed with the target
-stream's channel moments plus spatially varying affine offsets beta and gamma
-predicted from both streams.  The aligned map then serves as key/value source
-for a basic attention step whose queries come from the target stream.
+stream's channel moments plus a spatially varying scale offset gamma predicted
+from both streams.  The aligned map then serves as key/value source for a
+basic attention step whose queries come from the target stream.
+
+The paper's point-wise AdaIN also has a shift beta.  Here a point-wise shift
+is the same for every channel at a pixel, and the LayerNorm over channels that
+opens the attention's tokenization subtracts it again, so beta has no effect
+on the output and is left out.
 """
 from __future__ import annotations
 
@@ -26,8 +31,6 @@ class AdaINWeights:
     expand_b: Tensor
     fuse_w: Tensor     # 3x3, 2d -> d
     fuse_b: Tensor
-    beta_w: Tensor     # 3x3, d -> 1, zero-initialized
-    beta_b: Tensor
     gamma_w: Tensor    # 3x3, d -> 1, zero-initialized
     gamma_b: Tensor
 
@@ -36,11 +39,9 @@ def init_adain_weights(d, r, rng, dtype=np.float64, safe_start=True):
     w = AdaINWeights(
         expand_w=_uniform(rng, (1, 1, d, d * r * r), d, dtype), expand_b=_zeros(d * r * r, dtype),
         fuse_w=_uniform(rng, (3, 3, 2 * d, d), 9 * 2 * d, dtype), fuse_b=_zeros(d, dtype),
-        beta_w=_zeros((3, 3, d, 1), dtype), beta_b=_zeros(1, dtype),
         gamma_w=_zeros((3, 3, d, 1), dtype), gamma_b=_zeros(1, dtype),
     )
     if not safe_start:
-        w.beta_w = _uniform(rng, (3, 3, d, 1), 9 * d, dtype)
         w.gamma_w = _uniform(rng, (3, 3, d, 1), 9 * d, dtype)
     return w
 
@@ -60,7 +61,7 @@ def instance_standardize(x2):
 
 
 def compute_affine(x1, x2, weights: AdaINWeights, r):
-    """Point-wise affine maps beta, gamma [rh, rw, 1] from the fused streams."""
+    """Point-wise scale offset gamma [rh, rw, 1] from the fused streams."""
     h, w, _ = x1.shape
     if x2.shape[-3] != r * h or x2.shape[-2] != r * w:
         raise ShapeError(f"compute_affine: x2 extents {x2.shape[-3]}x{x2.shape[-2]} "
@@ -68,22 +69,22 @@ def compute_affine(x1, x2, weights: AdaINWeights, r):
     x1h = T.conv2d(x1, weights.expand_w, weights.expand_b, stride=1, pad=0)
     x1h = T.pixel_shuffle(x1h, r)
     xh = T.conv2d(T.concat([x2, x1h], axis=-1), weights.fuse_w, weights.fuse_b, stride=1, pad=1)
-    beta = T.conv2d(xh, weights.beta_w, weights.beta_b, stride=1, pad=1)
-    gamma = T.conv2d(xh, weights.gamma_w, weights.gamma_b, stride=1, pad=1)
-    return beta, gamma
+    return T.conv2d(xh, weights.gamma_w, weights.gamma_b, stride=1, pad=1)
 
 
-def adain_apply(x2_std, mu1, sigma1, beta, gamma):
-    """O[x,y,j] = X2'[x,y,j] (sigma1[j] + gamma[x,y]) + mu1[j] + beta[x,y]."""
-    return x2_std * (sigma1 + gamma) + mu1 + beta
+def adain_apply(x2_std, mu1, sigma1, gamma):
+    """O[x,y,j] = X2'[x,y,j] (sigma1[j] + gamma[x,y]) + mu1[j].
+
+    No shift beta[x,y]: the LayerNorm that opens tokenize would subtract it.
+    """
+    return x2_std * (sigma1 + gamma) + mu1
 
 
 def adain(x1, x2, weights: AdaINWeights, r):
-    """Align x2's feature distribution to x1's, with point-wise affine residuals."""
+    """Align x2's feature distribution to x1's, with a point-wise scale residual."""
     mu1, sigma1 = channel_moments(x1)
     x2_std = instance_standardize(x2)
-    beta, gamma = compute_affine(x1, x2, weights, r)
-    return adain_apply(x2_std, mu1, sigma1, beta, gamma)
+    return adain_apply(x2_std, mu1, sigma1, compute_affine(x1, x2, weights, r))
 
 
 @dataclass

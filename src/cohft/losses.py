@@ -15,6 +15,11 @@ from . import tensor as T
 from .tensor import ShapeError, Tensor
 
 GRAD_EPS = 1e-6
+# the SSIM window and stabilizing constants of Wang et al. 2004
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_C1 = 0.01 ** 2
+SSIM_C2 = 0.03 ** 2
 
 
 @dataclass
@@ -22,10 +27,6 @@ class LossConfig:
     alpha: float = 0.95
     lam: float = 0.5
     epsilon_grad: float = GRAD_EPS
-    ssim_window: int = 11
-    ssim_sigma: float = 1.5
-    c1: float = 0.01 ** 2
-    c2: float = 0.03 ** 2
 
 
 def gradient_map(img, eps=GRAD_EPS):
@@ -44,16 +45,16 @@ def gaussian_taps(side, sigma):
     return g / g.sum()
 
 
-def ssim(a, b, cfg: LossConfig = LossConfig()):
+def ssim(a, b):
     """Mean of the Gaussian-windowed local SSIM map; inputs [h, w, 1] in [0, 1]."""
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     if a.shape != b.shape or a.shape[-1] != 1:
         raise ShapeError(f"ssim needs two [h, w, 1] images, got {a.shape} and {b.shape}")
     h, w = a.shape[-3], a.shape[-2]
-    if h < cfg.ssim_window or w < cfg.ssim_window:
-        raise ShapeError(f"ssim needs extents >= {cfg.ssim_window}, got {h}x{w}")
-    taps = gaussian_taps(cfg.ssim_window, cfg.ssim_sigma)
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+        raise ShapeError(f"ssim needs extents >= {SSIM_WINDOW}, got {h}x{w}")
+    taps = gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
     mu_a, mu_b, e_aa, e_bb, e_ab = (T.separable_blur(x, taps)
                                     for x in (a, b, a * a, b * b, a * b))
     mu_aa = mu_a * mu_a
@@ -62,8 +63,8 @@ def ssim(a, b, cfg: LossConfig = LossConfig()):
     var_a = e_aa - mu_aa
     var_b = e_bb - mu_bb
     cov = e_ab - mu_ab
-    num = (2.0 * mu_ab + cfg.c1) * (2.0 * cov + cfg.c2)
-    den = (mu_aa + mu_bb + cfg.c1) * (var_a + var_b + cfg.c2)
+    num = (2.0 * mu_ab + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_aa + mu_bb + SSIM_C1) * (var_a + var_b + SSIM_C2)
     return T.tmean(num / den)
 
 
@@ -90,7 +91,7 @@ def _mse_minus_ssim(out, target, cfg):
     """
     if cfg.alpha == 1.0:
         return mse(out, target)
-    return cfg.alpha * mse(out, target) - (1.0 - cfg.alpha) * ssim(out, target, cfg)
+    return cfg.alpha * mse(out, target) - (1.0 - cfg.alpha) * ssim(out, target)
 
 
 def loss_in(i_out, i_gt, cfg: LossConfig = LossConfig()):

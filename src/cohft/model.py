@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionConfig, AttentionWeights, _uniform, _zeros, init_attention_weights
+from .chft import FormatError
 from .config import ConfigError
 from .crossmod import InterModalityWeights, init_inter_modality_weights, inter_modality_attention
 from .resample import bicubic_upsample
@@ -222,7 +223,7 @@ def state_arrays(state):
 def load_state_arrays(state, arrays: dict):
     for name, t in named_parameters(state):
         if name not in arrays:
-            raise KeyError(f"checkpoint is missing parameter {name!r}")
+            raise FormatError(f"checkpoint is missing parameter {name!r}")
         arr = arrays[name]
         if arr.shape != t.data.shape:
             raise ShapeError(f"parameter {name!r}: checkpoint shape {arr.shape} != model {t.data.shape}")
@@ -237,7 +238,7 @@ def rdb_forward(x, weights: RDBWeights):
     feats = [x]
     for c in weights.convs[:-1]:
         inp = feats[0] if len(feats) == 1 else T.concat(feats, axis=-1)
-        feats.append(T.leaky_relu(conv(inp, c), 0.2))
+        feats.append(T.leaky_relu(conv(inp, c)))
     delta = conv(T.concat(feats, axis=-1) if len(feats) > 1 else feats[0], weights.convs[-1])
     return x + 0.2 * delta
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 LN_EPS = 1e-5
+LEAKY_SLOPE = 0.2  # the RRDB activation's negative slope
 
 _TAPE_STACK: list["Tape"] = []
 
@@ -26,7 +27,7 @@ class TapeError(RuntimeError):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -34,7 +35,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
 
     @property
     def shape(self):
@@ -128,7 +128,7 @@ def backward(loss, tape):
     """Adjoint pass: gradients of a scalar tape output w.r.t. requires_grad leaves.
 
     Visits nodes in strict reverse recording order (reverse topological order by
-    construction).  Returns {leaf Tensor: gradient array} and also sets ``.grad``.
+    construction).  Returns {leaf Tensor: gradient array}.
     """
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -153,12 +153,7 @@ def backward(loss, tape):
                 grads[key] = ig
                 holders[key] = t
 
-    result = {}
-    for key, g in grads.items():
-        t = holders[key]
-        t.grad = g
-        result[t] = g
-    return result
+    return {holders[key]: g for key, g in grads.items()}
 
 
 def _unbroadcast(g, shape):
@@ -338,12 +333,13 @@ def sigmoid(a):
     return _record("sigmoid", out, (a,), bw)
 
 
-def leaky_relu(a, slope=0.2):
+def leaky_relu(a):
     ad = a.data
-    out = np.where(ad >= 0, ad, slope * ad)
+    # the same array as np.where(ad >= 0, ad, LEAKY_SLOPE * ad), without a mask
+    out = np.maximum(ad, LEAKY_SLOPE * ad)
 
     def bw(g):
-        return (np.where(ad >= 0, g, slope * g),)
+        return (np.where(ad >= 0, g, LEAKY_SLOPE * g),)
 
     return _record("leaky_relu", out, (a,), bw)
 

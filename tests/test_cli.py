@@ -138,14 +138,13 @@ def test_eval_report(tmp_path):
     with open(out / "metrics.csv") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == len(read_manifest(data))
-    lcfg = LossConfig()
     for row in rows:
         pair = load_pair(data, row["sample_id"])
         up = bicubic_upsample(pair.t2_lr[:, :, 0].astype(np.float64), 2)[:, :, None]
         want = 10.0 * np.log10(1.0 / np.mean((up - pair.t2_hr) ** 2))
         assert abs(float(row["psnr_bicubic"]) - want) <= 1e-4
         assert abs(float(row["ssim_bicubic"])
-                   - ssim(Tensor(up), Tensor(pair.t2_hr), lcfg).item()) <= 1e-4
+                   - ssim(Tensor(up), Tensor(pair.t2_hr)).item()) <= 1e-4
         # safe-start checkpoint: the model output is the bicubic baseline
         # (up to 32-bit rounding of the skip connection)
         assert abs(float(row["psnr_db"]) - float(row["psnr_bicubic"])) <= 1e-3
@@ -190,7 +189,7 @@ def test_check_command_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "[FAIL]" not in out
-    assert "[PASS]" in out
+    assert "[PASS] srnet/parameter-liveness" in out
 
 
 def test_check_detects_injected_gradient_fault(tmp_path, monkeypatch, capsys):
@@ -232,6 +231,15 @@ def test_missing_files_are_one_line_errors(tmp_path, capsys):
                                    "train"], "manifest.txt")
     assert_one_line_error(capsys, ["--out", out, "eval", str(tmp_path / "missing.chft")],
                           "missing.chft")
+
+
+def test_checkpoint_missing_a_parameter_is_one_line_error(tmp_path, capsys):
+    data, out = gen(tmp_path, samples=1)
+    ckpt = tmp_path / "partial.chft"
+    state = init_model(preset("tiny", r=2), seed=0, dtype=np.float32)
+    chft.save_container(ckpt, state_arrays(state)[1:])
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), "eval", str(ckpt)],
+                          "checkpoint is missing parameter 'gate_main.lift.w'")
 
 
 def test_indivisible_extents_are_one_line_error(tmp_path, capsys):

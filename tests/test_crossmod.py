@@ -43,15 +43,14 @@ def test_alignment_matches_numpy_oracle():
 
 
 def test_affine_offsets_are_pointwise():
-    # gamma scales around the aligned mean, beta shifts every channel equally
+    # gamma[x, y] adds to every channel's sigma at its pixel, around the aligned mean
     rng = np.random.default_rng(5)
     x2_std = Tensor(rng.standard_normal((4, 4, 3)))
     mu1 = Tensor(np.array([1.0, 2.0, 3.0]))
     sigma1 = Tensor(np.array([0.5, 1.0, 1.5]))
-    beta = Tensor(np.full((4, 4, 1), 0.25))
-    gamma = Tensor(np.zeros((4, 4, 1)))
-    out = adain_apply(x2_std, mu1, sigma1, beta, gamma).data
-    want = x2_std.data * sigma1.data + mu1.data + 0.25
+    gamma = Tensor(rng.standard_normal((4, 4, 1)))
+    out = adain_apply(x2_std, mu1, sigma1, gamma).data
+    want = x2_std.data * (sigma1.data + gamma.data) + mu1.data
     assert np.allclose(out, want, atol=1e-12)
 
 

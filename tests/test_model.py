@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from cohft import chft
-from cohft.checks import check_ablation_liveness, check_safe_start_equals_bicubic, tiny_inputs
+from cohft import checks, chft
+from cohft.checks import (check_ablation_liveness, check_parameter_count, check_parameter_liveness,
+                          check_safe_start_equals_bicubic, tiny_inputs)
 from cohft.model import (ModelConfig, count_parameters, forward, init_model,
                          init_rrdb_weights, load_state_arrays, named_parameters,
                          preset, rrdb, state_arrays)
 from cohft.optim import AdamW
 from cohft.tensor import ShapeError, Tensor
 
-TINY_R2_PARAMS = 5_405
-L_R4_PARAMS = 12_661_102
+TINY_R2_PARAMS = 5_344
 
 
 def test_preset_table():
@@ -26,8 +26,7 @@ def test_preset_table():
 def test_parameter_counts_frozen():
     tiny = init_model(preset("tiny", r=2), seed=0, dtype=np.float32)
     assert count_parameters(tiny) == TINY_R2_PARAMS
-    large = init_model(preset("L", r=4), seed=0, dtype=np.float32)
-    assert count_parameters(large) == L_R4_PARAMS
+    check_parameter_count()
 
 
 def test_named_parameters_unique_and_stable():
@@ -106,12 +105,57 @@ def test_load_state_errors():
     arrays = dict(state_arrays(state))
     first = next(iter(arrays))
     missing = {k: v for k, v in arrays.items() if k != first}
-    with pytest.raises(KeyError):
+    with pytest.raises(chft.FormatError, match=f"checkpoint is missing parameter '{first}'"):
         load_state_arrays(state, missing)
     bad = dict(arrays)
     bad[first] = np.zeros((1, 2, 3))
     with pytest.raises(ShapeError):
         load_state_arrays(state, bad)
+
+
+def test_state_with_removed_dead_weights_loads(tmp_path):
+    # states written while attention had a key bias and AdaIN a shift beta
+    # carry *.bk and adain.beta_* entries; loading ignores them
+    cfg = preset("tiny", r=2)
+    state = init_model(cfg, seed=5, safe_start=False)
+    arrays = state_arrays(state)
+    extra = []
+    for name, arr in arrays:
+        if name.endswith(".wk"):
+            extra.append((name[:-1] + "bk", np.ones((arr.shape[0], arr.shape[2]))))
+        elif name.endswith(".adain.gamma_w") or name.endswith(".adain.gamma_b"):
+            extra.append((name.replace(".gamma_", ".beta_"), np.ones_like(arr)))
+    assert len(extra) == 5
+    path = tmp_path / "old.chft"
+    chft.save_container(path, arrays + extra)
+    other = init_model(cfg, seed=6, safe_start=False)
+    load_state_arrays(other, chft.load_container(path))
+    for (_, a), (_, b) in zip(named_parameters(state), named_parameters(other)):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_every_parameter_gets_a_gradient():
+    check_parameter_liveness(np.random.default_rng(0))
+
+
+def test_liveness_check_names_the_weights_behind_a_zeroed_block(monkeypatch):
+    # a zero out_w cuts the short-window attention off from the loss, so every
+    # weight before it gets an exactly zero gradient; out_w and out_b still get one
+    def zeroed(cfg, **kw):
+        state = init_model(cfg, **kw)
+        state.stages[0].block.short_attn.out_w.data[...] = 0.0
+        return state
+
+    monkeypatch.setattr(checks, "init_model", zeroed)
+    with pytest.raises(AssertionError) as err:
+        check_parameter_liveness(np.random.default_rng(0))
+    listed = str(err.value).split(": ", 1)[1].split(", ")
+    prefix = "stages.0.block.short_attn."
+    want = [f"{p} {name}" for p in ("tiny", "S")
+            for name, _ in named_parameters(init_model(preset(p, r=2)))
+            if name.startswith(prefix) and not name.startswith(prefix + "out_")]
+    assert len(want) == 2 * 17
+    assert sorted(listed) == sorted(want)
 
 
 def test_adamw_minimizes_quadratic():

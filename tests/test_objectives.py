@@ -6,8 +6,8 @@ from scipy.signal import convolve2d
 
 from cohft import tensor as T
 from cohft.checks import check_separable_blur_matches_conv2d
-from cohft.losses import (GRAD_EPS, LossConfig, gradient_map, loss_c, loss_in, mse,
-                          psnr, ssim, total_loss)
+from cohft.losses import (GRAD_EPS, SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, LossConfig,
+                          gradient_map, loss_c, loss_in, mse, psnr, ssim, total_loss)
 from cohft.tensor import ShapeError, Tape, Tensor, backward
 
 
@@ -37,10 +37,10 @@ def test_gradient_map_shift_invariance_and_floor():
     assert np.all(a >= 1e-3)
 
 
-def ssim_oracle(a, b, cfg):
-    half = (cfg.ssim_window - 1) / 2.0
-    coords = np.arange(cfg.ssim_window) - half
-    g = np.exp(-(coords ** 2) / (2.0 * cfg.ssim_sigma ** 2))
+def ssim_oracle(a, b):
+    half = (SSIM_WINDOW - 1) / 2.0
+    coords = np.arange(SSIM_WINDOW) - half
+    g = np.exp(-(coords ** 2) / (2.0 * SSIM_SIGMA ** 2))
     k = np.outer(g, g)
     k /= k.sum()
 
@@ -51,18 +51,17 @@ def ssim_oracle(a, b, cfg):
     var_a = blur(a * a) - mu_a ** 2
     var_b = blur(b * b) - mu_b ** 2
     cov = blur(a * b) - mu_a * mu_b
-    num = (2 * mu_a * mu_b + cfg.c1) * (2 * cov + cfg.c2)
-    den = (mu_a ** 2 + mu_b ** 2 + cfg.c1) * (var_a + var_b + cfg.c2)
+    num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
+    den = (mu_a ** 2 + mu_b ** 2 + SSIM_C1) * (var_a + var_b + SSIM_C2)
     return (num / den).mean()
 
 
 def test_ssim_matches_independent_oracle():
     rng = np.random.default_rng(2)
-    cfg = LossConfig()
     a = rng.uniform(0, 1, (20, 20))
     b = np.clip(a + rng.normal(0, 0.05, a.shape), 0, 1)
-    got = ssim(Tensor(a[:, :, None]), Tensor(b[:, :, None]), cfg).item()
-    assert abs(got - ssim_oracle(a, b, cfg)) <= 1e-10
+    got = ssim(Tensor(a[:, :, None]), Tensor(b[:, :, None])).item()
+    assert abs(got - ssim_oracle(a, b)) <= 1e-10
 
 
 def test_ssim_blur_matches_conv2d():
@@ -128,7 +127,7 @@ def test_loss_composition():
     lc = loss_c(r_out, gradient_map(i_gt, cfg.epsilon_grad), cfg).item()
     total = total_loss(i_out, r_out, i_gt, cfg).item()
     assert abs(total - (li + 0.5 * lc)) <= 1e-12
-    want_li = 0.95 * mse(i_out, i_gt).item() - 0.05 * ssim(i_out, i_gt, cfg).item()
+    want_li = 0.95 * mse(i_out, i_gt).item() - 0.05 * ssim(i_out, i_gt).item()
     assert abs(li - want_li) <= 1e-12
 
 
@@ -137,7 +136,7 @@ def test_pure_mse_configuration():
     cfg = LossConfig(alpha=1.0, lam=0.0)
     a = Tensor(rng.uniform(0, 1, (16, 16, 1)))
     b = Tensor(rng.uniform(0, 1, (16, 16, 1)))
-    want = mse(a, b).item() - 0.0 * ssim(a, b, cfg).item()
+    want = mse(a, b).item() - 0.0 * ssim(a, b).item()
     assert abs(loss_in(a, b, cfg).item() - want) <= 1e-15
 
 

@@ -87,18 +87,23 @@ def test_sigmoid_leaky_relu():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((15,))
     assert np.allclose(T.sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)))
-    y = T.leaky_relu(Tensor(x), 0.2).data
-    assert np.allclose(y, np.where(x > 0, x, 0.2 * x))
     xt = Tensor(x + 0.05, requires_grad=True)  # keep away from the kink
-    assert_grads_match(lambda: T.tsum(T.square(T.leaky_relu(xt, 0.2))), xt, rng)
+    assert_grads_match(lambda: T.tsum(T.square(T.leaky_relu(xt))), xt, rng)
     assert_grads_match(lambda: T.tsum(T.square(T.sigmoid(xt))), xt, rng)
-    g = rng.standard_normal(15)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-40, -1e-40])
+    x = np.concatenate([x, edges])
+    g = rng.standard_normal(x.size)
     for dtype in (np.float64, np.float32):
         xd = x.astype(dtype)
         with Tape() as tape:
-            y = T.leaky_relu(Tensor(xd, requires_grad=True), 0.2)
+            y = T.leaky_relu(Tensor(xd, requires_grad=True)).data
+        # the np.maximum forward is bit for bit the select form, signed zeros and NaN included
+        want = np.where(xd >= 0, xd, 0.2 * xd)
+        assert y.dtype == dtype
+        assert np.array_equal(y, want, equal_nan=True)
+        assert np.array_equal(np.signbit(y), np.signbit(want))
         (gx,) = tape.nodes[-1].backward_fn(g.astype(dtype))
-        assert y.dtype == dtype and gx.dtype == dtype
+        assert gx.dtype == dtype
         # bit for bit the gradient of the f64 slope mask cast to the dtype
         assert np.array_equal(gx, g.astype(dtype) * np.where(xd >= 0, 1.0, 0.2).astype(dtype))
 
