@@ -49,7 +49,7 @@ class EmbedWeights:
 @dataclass
 class AttentionWeights:
     embed1: EmbedWeights   # 1x1 conv path for X1
-    embed2: EmbedWeights   # rho x rho stride-rho conv path for X2
+    embed2: EmbedWeights   # rho x rho patch embedding for X2: unfold(rho), then a 1x1 conv
     wq: Tensor             # [M, d p^2, d']
     bq: Tensor             # [M, d']
     wk: Tensor             # no bias: a key bias adds one constant per softmax row, which cancels
@@ -98,25 +98,28 @@ def init_attention_weights(cfg: AttentionConfig, rng, dtype=np.float64, safe_sta
 
 
 def tokenize(x, weights: AttentionWeights, cfg: AttentionConfig, which):
-    """LN -> embedding conv -> LN -> GELU -> unfold(p); returns [.., N, d p^2].
+    """LN -> patch embedding -> LN -> GELU -> unfold(p); returns [.., N, d p^2].
 
-    The input path uses a 1x1 conv; the reference path registers the spatial
-    extents with a rho x rho conv of stride rho (degenerating to 1x1 at rho=1).
+    The embedding is a linear map of each flattened k x k patch: k = 1 on the
+    input path, k = rho on the reference path, where it registers X2's extents
+    to X1's.  It runs as unfold(k) to [.., h/k, w/k, k^2 d], then a 1x1 conv
+    with the [k, k, d, d] weights read as [1, 1, k^2 d, d].
     """
-    h, w = x.shape[-3], x.shape[-2]
+    h, w, d = x.shape[-3:]
     if which == "input":
-        emb, k, stride = weights.embed1, 1, 1
+        emb, k = weights.embed1, 1
     elif which == "reference":
-        emb, k, stride = weights.embed2, cfg.rho, cfg.rho
-        if h % cfg.rho or w % cfg.rho:
-            raise ShapeError(f"reference extents h={h}, w={w} not divisible by rho={cfg.rho}")
-        h, w = h // cfg.rho, w // cfg.rho
+        emb, k = weights.embed2, cfg.rho
+        if h % k or w % k:
+            raise ShapeError(f"reference extents h={h}, w={w} not divisible by rho={k}")
+        h, w = h // k, w // k
     else:
         raise ValueError(f"which must be 'input' or 'reference', got {which!r}")
     if h % cfg.p or w % cfg.p:
         raise ShapeError(f"registered extents h={h}, w={w} not divisible by p={cfg.p}")
     y = T.layer_norm(x, emb.pre_gain, emb.pre_shift)
-    y = T.conv2d(y, emb.conv_w, emb.conv_b, stride=stride, pad=0)
+    y = T.reshape(T.unfold(y, k), x.shape[:-3] + (h, w, k * k * d))
+    y = T.conv2d(y, T.reshape(emb.conv_w, (1, 1, k * k * d, d)), emb.conv_b)
     y = T.layer_norm(y, emb.post_gain, emb.post_shift)
     y = T.gelu(y)
     return T.unfold(y, cfg.p)
@@ -181,4 +184,4 @@ def basic_attention(x1, x2, weights: AttentionWeights, cfg: AttentionConfig,
         vt = remix_heads(vt, head_affinity(vt))
     tokens_out = T.reshape(vt, vt.shape[:-2] + (cfg.d * cfg.p * cfg.p,))
     folded = T.fold(tokens_out, cfg.p, h1, w1)
-    return x1 + T.conv2d(folded, weights.out_w, weights.out_b, stride=1, pad=1)
+    return x1 + T.conv2d(folded, weights.out_w, weights.out_b)

@@ -107,7 +107,7 @@ def check_primitive_gradients(rng):
     shift = Tensor(rng.standard_normal(2), requires_grad=True)
 
     cases = [
-        ("conv2d", lambda: T.tsum(T.square(T.conv2d(x, w, b, 1, 1))), [("x", x), ("w", w), ("b", b)]),
+        ("conv2d", lambda: T.tsum(T.square(T.conv2d(x, w, b))), [("x", x), ("w", w), ("b", b)]),
         ("softmax", lambda: T.tsum(T.square(T.softmax(x, -1))), [("x", x)]),
         ("layer_norm", lambda: T.tsum(T.square(T.layer_norm(x, gain, shift))),
          [("x", x), ("gain", gain), ("shift", shift)]),
@@ -148,24 +148,29 @@ BLUR_SHAPES = ((11, 11, 1), (23, 17, 3), (2, 16, 14, 5))
 def check_separable_blur_matches_conv2d(rng, shapes=BLUR_SHAPES):
     """The blur equals conv2d with outer(g, g) on the channel diagonal, value and input gradient.
 
-    Runs the SSIM window and random (asymmetric) taps on each [.., h, w, c] shape.
+    The valid-mode blur is the inner crop of the same-padded conv2d; the conv2d
+    gradient is taken against a probe that is zero outside that crop.  Runs the
+    SSIM window and random (asymmetric) taps on each [.., h, w, c] shape.
     """
     for taps in (gaussian_taps(SSIM_WINDOW, SSIM_SIGMA), rng.uniform(0.0, 1.0, SSIM_WINDOW)):
-        k = taps.shape[0]
+        m = taps.shape[0] // 2
         for shape in shapes:
             c = shape[-1]
+            crop = (Ellipsis, slice(m, shape[-3] - m), slice(m, shape[-2] - m), slice(None))
             x = Tensor(rng.uniform(0.0, 1.0, shape), requires_grad=True)
-            out_shape = shape[:-3] + (shape[-3] - k + 1, shape[-2] - k + 1, c)
-            probe = Tensor(rng.standard_normal(out_shape))
+            probe = np.zeros(shape)
+            probe[crop] = rng.standard_normal(probe[crop].shape)
             kern = Tensor(np.outer(taps, taps)[:, :, None, None] * np.eye(c))
             zero_b = Tensor(np.zeros(c))
             runs = []
-            for blur in (lambda: T.separable_blur(x, taps), lambda: T.conv2d(x, kern, zero_b)):
+            for blur, p in ((lambda: T.separable_blur(x, taps), probe[crop]),
+                            (lambda: T.conv2d(x, kern, zero_b), probe)):
                 with T.Tape() as tape:
                     y = blur()
-                    loss = T.tsum(y * probe)
+                    loss = T.tsum(y * p)
                 runs.append((y.data, T.backward(loss, tape)[x]))
             (y_sep, g_sep), (y_conv, g_conv) = runs
+            y_conv = y_conv[crop]
             assert y_sep.shape == y_conv.shape, (y_sep.shape, y_conv.shape)
             gap = max(np.abs(y_sep - y_conv).max(), np.abs(g_sep - g_conv).max())
             assert gap <= 1e-12, f"separable blur differs from conv2d by {gap:.3g} on {shape}"

@@ -86,27 +86,19 @@ def cmd_train(cfg: RunConfig):
             for start in range(0, len(order), cfg.batch_size):
                 batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
                 with T.Tape() as tape:
-                    li_terms, lc_terms, outs = [], [], []
+                    li_terms, lc_terms = [], []
                     for pair in batch:
                         i_out, r_out, gt = _forward(pair, state, mc)
-                        outs.append((r_out, gt))
                         li_terms.append(loss_in(i_out, gt, lcfg))
-                        if cfg.lam != 0.0:
-                            lc_terms.append(_loss_c(r_out, gt, lcfg))
-                    objective = li_mean = _mean(li_terms)
-                    if cfg.lam != 0.0:
-                        lc_mean = _mean(lc_terms)
-                        objective = li_mean + cfg.lam * lc_mean
-                total = objective
-                if cfg.lam == 0.0:
-                    # weighted by exactly 0, loss_c would only add zeros to the
-                    # gradient: it is computed off the tape, for the log
-                    lc_mean = _mean([_loss_c(Tensor(r_out.data), gt, lcfg) for r_out, gt in outs])
+                        # weighted by exactly 0, loss_c would only add zeros to the
+                        # gradient: detached, it records no tape node and serves the log
+                        lc_terms.append(_loss_c(r_out if cfg.lam else Tensor(r_out.data), gt, lcfg))
+                    li_mean, lc_mean = _mean(li_terms), _mean(lc_terms)
                     total = li_mean + cfg.lam * lc_mean
                 if not np.isfinite(total.item()):
                     print(f"training diverged: non-finite loss at step {step + 1}", file=sys.stderr)
                     return 1
-                grads = T.backward(objective, tape)
+                grads = T.backward(total, tape)
                 opt.step(grads)
                 step += 1
                 log.writerow([step, f"{total.item():.8f}",

@@ -66,10 +66,10 @@ def compute_affine(x1, x2, weights: AdaINWeights, r):
     if x2.shape[-3] != r * h or x2.shape[-2] != r * w:
         raise ShapeError(f"compute_affine: x2 extents {x2.shape[-3]}x{x2.shape[-2]} "
                          f"do not equal r*{h} x r*{w} with r={r}")
-    x1h = T.conv2d(x1, weights.expand_w, weights.expand_b, stride=1, pad=0)
+    x1h = T.conv2d(x1, weights.expand_w, weights.expand_b)
     x1h = T.pixel_shuffle(x1h, r)
-    xh = T.conv2d(T.concat([x2, x1h], axis=-1), weights.fuse_w, weights.fuse_b, stride=1, pad=1)
-    return T.conv2d(xh, weights.gamma_w, weights.gamma_b, stride=1, pad=1)
+    xh = T.conv2d(T.concat([x2, x1h], axis=-1), weights.fuse_w, weights.fuse_b)
+    return T.conv2d(xh, weights.gamma_w, weights.gamma_b)
 
 
 def adain_apply(x2_std, mu1, sigma1, gamma):

@@ -36,7 +36,6 @@ class ModelConfig:
     p_inter: int = 5
     M: int = 4
     r: int = 4
-    variant: str = "L"
     use_short_wa: bool = True
     use_long_wa: bool = True
     use_inter_attn: bool = True
@@ -79,7 +78,7 @@ def preset(name, r=2, **overrides):
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
     kw = dict(_PRESETS[name])
     kw.update(overrides)
-    return ModelConfig(variant=name, r=r, **kw)
+    return ModelConfig(r=r, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +99,8 @@ def init_conv(k, c_in, c_out, rng, dtype, zero=False):
     return Conv(w=w, b=_zeros(c_out, dtype))
 
 
-def conv(x, c: Conv, stride=1, pad=None):
-    if pad is None:
-        pad = (c.w.shape[0] - 1) // 2
-    return T.conv2d(x, c.w, c.b, stride=stride, pad=pad)
+def conv(x, c: Conv):
+    return T.conv2d(x, c.w, c.b)
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Dense channel-last tensors and reverse-mode differentiation over a recorded tape.
 
 All forward primitives are pure functions on immutable tensors.  When a Tape is
-active (``with Tape() as tape:``), every primitive application is recorded so the
-adjoint pass can later walk the records in reverse order.  Layout is row-major
-with channel-last feature maps [h, w, d]; most primitives also accept one or more
-leading batch axes.
+active (``with Tape() as tape:``), every primitive application with an input that
+requires a gradient is recorded so the adjoint pass can later walk the records in
+reverse order.  Layout is row-major with channel-last feature maps [h, w, d]; most
+primitives also accept one or more leading batch axes.
 """
 from __future__ import annotations
 
@@ -119,7 +119,8 @@ def _as_tensor(x, like=None):
 
 def _record(op, out_data, inputs, backward_fn):
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    if _TAPE_STACK:
+    # a node no gradient can reach is not kept, nor is the closure it holds
+    if out.requires_grad and _TAPE_STACK:
         _TAPE_STACK[-1].nodes.append(Node(op, tuple(inputs), out, backward_fn))
     return out
 
@@ -352,9 +353,7 @@ def tsum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
@@ -368,10 +367,8 @@ def tmean(a, axis=None, keepdims=False):
         a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,)))
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g / denom, a.data.shape).copy(),)
         gg = g / denom
-        if not keepdims:
+        if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
@@ -506,22 +503,23 @@ def layer_norm(a, gain, shift):
 # convolution
 
 
-def conv2d(x, weights, bias, stride=1, pad=0):
-    """Cross-correlation with zero padding; channel-last [.., h, w, c_in].
+def conv2d(x, weights, bias):
+    """Stride-1 cross-correlation with "same" zero padding; channel-last [.., h, w, c_in].
 
-    Weights are [k, k, c_in, c_out].  Two cases are supported: stride 1 with
-    odd k, and stride == k with pad 0 (a patch embedding, h and w divisible
-    by k).  Neither keeps a patch matrix: stride 1 runs one GEMM per tap on a
-    row shift of the flattened padded input, stride == k one GEMM on a
-    space-to-depth view.  The backward recomputes both from the input.
+    Weights are [k, k, c_in, c_out] with odd k; the output keeps the input's
+    h and w.  No patch matrix is kept: the forward runs one GEMM per tap on a
+    row shift of the flattened padded input, and the backward recomputes the
+    padded rows from the input.
     """
     wd = weights.data
-    if wd.ndim != 4 or wd.shape[0] != wd.shape[1]:
-        raise ShapeError(f"conv2d weights must be [k,k,c_in,c_out], got {wd.shape}")
+    if wd.ndim != 4 or wd.shape[0] != wd.shape[1] or not wd.shape[0] % 2:
+        raise ShapeError(f"conv2d weights must be [k,k,c_in,c_out] with odd k, got {wd.shape}")
     k, _, c_in, c_out = wd.shape
     if x.data.ndim < 3:
         raise ShapeError(f"conv2d input must be at least [h,w,c], got {x.data.shape}")
     h, w, cx = x.data.shape[-3:]
+    if not h or not w:  # "same" padding fits every other extent
+        raise ShapeError(f"conv2d extents {h}x{w} are empty")
     if cx != c_in:
         raise ShapeError(f"conv2d channel mismatch: input has {cx}, weights expect {c_in}")
     if bias.data.shape != (c_out,):
@@ -529,83 +527,51 @@ def conv2d(x, weights, bias, stride=1, pad=0):
     lead = x.data.shape[:-3]
     # no gradient for an operand that needs none, such as a raw input image
     need_x, need_w, need_b = x.requires_grad, weights.requires_grad, bias.requires_grad
-    if stride == 1 and k % 2:
-        hp, wp = h + 2 * pad, w + 2 * pad
-        if hp < k or wp < k:
-            raise ShapeError(f"conv2d extents {h}x{w} with pad={pad} smaller than k={k}")
-        ho, wo = hp - k + 1, wp - k + 1
-        # tap (i, j) reads the flattened padded rows shifted by i*wp + j; the
-        # last `reach` rows hold no valid output, which the crop discards
-        reach = (k - 1) * wp + k - 1
-        taps = [(i, j, i * wp + j) for i in range(k) for j in range(k)]
+    pad = (k - 1) // 2
+    hp, wp = h + 2 * pad, w + 2 * pad
+    # tap (i, j) reads the flattened padded rows shifted by i*wp + j; the
+    # last `reach` rows hold no valid output, which the crop discards
+    reach = (k - 1) * wp + k - 1
+    taps = [(i, j, i * wp + j) for i in range(k) for j in range(k)]
 
-        def padded_rows(xd):
-            if pad:
-                xp = np.zeros(lead + (hp, wp, c_in), dtype=xd.dtype)
-                xp[..., pad:pad + h, pad:pad + w, :] = xd
-                xd = xp
-            return xd.reshape(-1, c_in)
+    def padded_rows(xd):
+        if pad:
+            xp = np.zeros(lead + (hp, wp, c_in), dtype=xd.dtype)
+            xp[..., pad:pad + h, pad:pad + w, :] = xd
+            xd = xp
+        return xd.reshape(-1, c_in)
 
-        xf = padded_rows(x.data)
-        rows = xf.shape[0]
-        n = rows - reach
-        acc = np.empty((rows, c_out), dtype=np.result_type(x.data, wd))
-        for t, (i, j, off) in enumerate(taps):
-            if t:
-                acc[:n] += xf[off:off + n] @ wd[i, j]
-            else:
-                np.matmul(xf[:n], wd[i, j], out=acc[:n])
-        out = acc.reshape(lead + (hp, wp, c_out))[..., :ho, :wo, :] + bias.data
+    xf = padded_rows(x.data)
+    rows = xf.shape[0]
+    n = rows - reach
+    acc = np.empty((rows, c_out), dtype=np.result_type(x.data, wd))
+    for t, (i, j, off) in enumerate(taps):
+        if t:
+            acc[:n] += xf[off:off + n] @ wd[i, j]
+        else:
+            np.matmul(xf[:n], wd[i, j], out=acc[:n])
+    out = acc.reshape(lead + (hp, wp, c_out))[..., :h, :w, :] + bias.data
 
-        def bw(g):
-            gz = g
-            if reach:
-                gz = np.zeros(lead + (hp, wp, c_out), dtype=g.dtype)
-                gz[..., :ho, :wo, :] = g
-            gf = gz.reshape(-1, c_out)[:n]
-            dx = dw = db = None
-            if need_w:
-                xf = padded_rows(x.data)
-                dw = np.empty(wd.shape, dtype=np.result_type(xf, gf))
-                for i, j, off in taps:
-                    dw[i, j] = xf[off:off + n].T @ gf
-            if need_x:
-                dxf = np.zeros((rows, c_in), dtype=g.dtype)
-                for i, j, off in taps:
-                    dxf[off:off + n] += gf @ wd[i, j].T
-                dx = dxf.reshape(lead + (hp, wp, c_in))[..., pad:pad + h, pad:pad + w, :]
-            if need_b:
-                db = g.sum(axis=tuple(range(g.ndim - 1)))
-            return dx, dw, db
-    elif stride == k and pad == 0:
-        if h % k or w % k:
-            raise ShapeError(f"conv2d extents {h}x{w} not divisible by stride=k={k}")
-        ho, wo = h // k, w // k
-        nb = len(lead)
-        perm = tuple(range(nb)) + (nb, nb + 2, nb + 1, nb + 3, nb + 4)
-        inv = tuple(np.argsort(perm))
-
-        def depth_rows(xd):
-            blocks = xd.reshape(lead + (ho, k, wo, k, c_in)).transpose(perm)
-            return blocks.reshape(-1, k * k * c_in)
-
-        out = depth_rows(x.data) @ wd.reshape(k * k * c_in, c_out)
-        out = out.reshape(lead + (ho, wo, c_out)) + bias.data
-
-        def bw(g):
-            gf = g.reshape(-1, c_out)
-            dx = dw = db = None
-            if need_w:
-                dw = (depth_rows(x.data).T @ gf).reshape(wd.shape)
-            if need_x:
-                dcols = (gf @ wd.reshape(k * k * c_in, c_out).T).reshape(lead + (ho, wo, k, k, c_in))
-                dx = dcols.transpose(inv).reshape(x.data.shape)
-            if need_b:
-                db = g.sum(axis=tuple(range(g.ndim - 1)))
-            return dx, dw, db
-    else:
-        raise ShapeError(f"conv2d supports stride 1 with odd k, or stride == k with pad 0; "
-                         f"got k={k}, stride={stride}, pad={pad}")
+    def bw(g):
+        gz = g
+        if reach:
+            gz = np.zeros(lead + (hp, wp, c_out), dtype=g.dtype)
+            gz[..., :h, :w, :] = g
+        gf = gz.reshape(-1, c_out)[:n]
+        dx = dw = db = None
+        if need_w:
+            xf = padded_rows(x.data)
+            dw = np.empty(wd.shape, dtype=np.result_type(xf, gf))
+            for i, j, off in taps:
+                dw[i, j] = xf[off:off + n].T @ gf
+        if need_x:
+            dxf = np.zeros((rows, c_in), dtype=g.dtype)
+            for i, j, off in taps:
+                dxf[off:off + n] += gf @ wd[i, j].T
+            dx = dxf.reshape(lead + (hp, wp, c_in))[..., pad:pad + h, pad:pad + w, :]
+        if need_b:
+            db = g.sum(axis=tuple(range(g.ndim - 1)))
+        return dx, dw, db
 
     return _record("conv2d", out, (x, weights, bias), bw)
 
@@ -613,9 +579,9 @@ def conv2d(x, weights, bias, stride=1, pad=0):
 def separable_blur(x, taps):
     """Valid-mode blur of each channel of [.., h, w, c] with the kernel outer(taps, taps).
 
-    Equal to ``conv2d`` with that kernel on the diagonal of [k, k, c, c], but
-    runs k shifted multiply-adds along the rows, then k along the columns.
-    The taps are a constant: the backward returns only the input gradient,
+    Equal to the inner crop of ``conv2d`` with that kernel on the diagonal of
+    [k, k, c, c], but runs k shifted multiply-adds along the rows, then k along
+    the columns.  The taps are a constant: the backward returns only the input gradient,
     the same passes transposed (scatter-adds with the same taps).
     """
     taps = np.asarray(taps, dtype=x.dtype)

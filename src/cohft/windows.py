@@ -108,10 +108,10 @@ def init_mlp_weights(d, rng, dtype=np.float64, safe_start=True):
 def residual_mlp(x, weights: MLPWeights):
     """x + Conv1x1(GELU(LN(Conv1x1(LN(x))))), hidden width 2d."""
     y = T.layer_norm(x, weights.ln1_gain, weights.ln1_shift)
-    y = T.conv2d(y, weights.conv1_w, weights.conv1_b, stride=1, pad=0)
+    y = T.conv2d(y, weights.conv1_w, weights.conv1_b)
     y = T.layer_norm(y, weights.ln2_gain, weights.ln2_shift)
     y = T.gelu(y)
-    y = T.conv2d(y, weights.conv2_w, weights.conv2_b, stride=1, pad=0)
+    y = T.conv2d(y, weights.conv2_w, weights.conv2_b)
     return x + y
 
 

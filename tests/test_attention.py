@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from test_tensor import conv_oracle
 
 from cohft import tensor as T
 from cohft.attention import (AttentionConfig, basic_attention, head_affinity,
                              init_attention_weights, intra_head_correlation, remix_heads,
                              renew_values, tokenize)
-from cohft.checks import check_attention_permutation_invariance, check_attention_safe_start
+from cohft.checks import (check_attention_permutation_invariance, check_attention_safe_start,
+                          finite_diff_check)
 from cohft.tensor import ShapeError, Tape, Tensor, backward
 
 # frozen correlation values for hand-checkable token configurations
@@ -92,6 +96,57 @@ def test_tokenize_shapes():
         tokenize(Tensor(rng.standard_normal((7, 7, 4))), w, cfg, "reference")
     with pytest.raises(ValueError):
         tokenize(x1, w, cfg, "bogus")
+
+
+def layer_norm_oracle(x, gain, shift):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + T.LN_EPS) * gain + shift
+
+
+def tokenize_oracle(x, emb, k, p):
+    """One [h, w, d] map: LN, k x k conv of stride k, LN, exact GELU, p x p patch order."""
+    y = layer_norm_oracle(x, emb.pre_gain.data, emb.pre_shift.data)
+    y = conv_oracle(y, emb.conv_w.data, emb.conv_b.data, stride=k, pad=0)
+    y = layer_norm_oracle(y, emb.post_gain.data, emb.post_shift.data)
+    y = y * 0.5 * (1.0 + np.vectorize(math.erf)(y / math.sqrt(2.0)))
+    h, w, d = y.shape
+    y = y.reshape(h // p, p, w // p, p, d).transpose(0, 2, 1, 3, 4)
+    return y.reshape((h // p) * (w // p), p * p * d)
+
+
+def test_tokenize_matches_numpy_oracle():
+    rng = np.random.default_rng(11)
+    for which, rho, p, shape in (("input", 1, 1, (4, 3, 3, 4)),   # k = 1 on [windows, g, g, d]
+                                 ("reference", 1, 2, (6, 4, 4)),
+                                 ("reference", 2, 2, (8, 12, 4))):
+        cfg = AttentionConfig(d=4, M=2, p=p, rho=rho)
+        w = init_attention_weights(cfg, rng)
+        emb = w.embed1 if which == "input" else w.embed2
+        for t in (emb.pre_gain, emb.pre_shift, emb.conv_b, emb.post_gain, emb.post_shift):
+            t.data[...] = rng.standard_normal(t.shape)
+        x = rng.standard_normal(shape)
+        got = tokenize(Tensor(x), w, cfg, which).data
+        k = 1 if which == "input" else rho
+        want = np.stack([tokenize_oracle(xi, emb, k, p) for xi in x.reshape((-1,) + shape[-3:])])
+        assert got.shape == shape[:-3] + want.shape[1:], which
+        assert np.abs(got - want.reshape(got.shape)).max() <= 1e-12, (which, rho)
+
+
+def test_reference_embedding_gradients():
+    # the rho x rho embedding of X2 against central differences, each array on its own
+    rng = np.random.default_rng(12)
+    cfg = AttentionConfig(d=4, M=2, p=2, rho=2)
+    w = init_attention_weights(cfg, rng, safe_start=False)
+    x1 = Tensor(rng.standard_normal((4, 4, 4)))
+    x2 = Tensor(rng.standard_normal((8, 8, 4)), requires_grad=True)
+
+    def loss():
+        return T.tsum(T.square(basic_attention(x1, x2, w, cfg)))
+
+    for name, t in (("embed2.conv_w", w.embed2.conv_w), ("embed2.conv_b", w.embed2.conv_b),
+                    ("x2", x2)):
+        finite_diff_check(loss, [(name, t)], 4, rng, tol=1e-5)
 
 
 def test_config_validation():

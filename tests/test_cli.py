@@ -115,11 +115,12 @@ def test_zero_weighted_terms_stay_off_the_tape(tmp_path, monkeypatch, alpha, lam
               "--set", f"alpha={alpha}", "--set", f"lam={lam}",
               "--out", str(out), "--seed", "0", "train"])
     assert rc == 0
-    ops = {node.op for node in tapes[0].nodes}
-    for op in ("separable_blur", "forward_diff"):
-        assert (op in ops) == on_tape, op
-    # the log still shows loss_c, computed as it would be directly
     (_, r_out), = outputs
+    nodes = tapes[0].nodes
+    assert any(node.op == "separable_blur" for node in nodes) == on_tape
+    # at lam = 0 the gradient-domain term reads a detached copy of r_out
+    assert any(t is r_out for node in nodes for t in node.inputs) == on_tape
+    # the log still shows loss_c, computed as it would be directly
     pair = load_pair(data, read_manifest(data)[0])
     lcfg = LossConfig(alpha=alpha, lam=lam)
     gt = Tensor(np.asarray(pair.t2_hr, dtype=r_out.dtype))
