@@ -13,7 +13,7 @@ from . import chft
 from . import tensor as T
 from .checks import run_all_checks
 from .config import ConfigError, RunConfig, load_config
-from .data import PhantomSpec, generate_dataset, load_pair, read_manifest
+from .data import FIELDS, PhantomSpec, generate_dataset, load_field, load_pair, read_manifest
 from .losses import LossConfig, gradient_map, loss_c, loss_in, psnr, ssim
 from .model import (count_parameters, forward, init_model, load_state_arrays,
                     named_parameters, preset, state_arrays)
@@ -159,9 +159,8 @@ def cmd_eval(cfg: RunConfig, checkpoint):
 def cmd_infer(cfg: RunConfig, checkpoint, t2_lr_path, t2_lr_grad_path, t1_hr_grad_path):
     out = _out_dir(cfg)
     mc, state = _load_checkpoint(cfg, checkpoint)
-    i_in = chft.load_tensor(t2_lr_path)
-    r_s = chft.load_tensor(t2_lr_grad_path)
-    r_c = chft.load_tensor(t1_hr_grad_path)
+    i_in, r_s, r_c = (load_field(path, name) for path, name in
+                      zip((t2_lr_path, t2_lr_grad_path, t1_hr_grad_path), FIELDS))
     i_out, r_out = forward(i_in, r_s, r_c, state, mc)
     chft.save_tensor(out / "i_out.chft", i_out.data)
     chft.save_tensor(out / "r_out.chft", r_out.data)

@@ -68,7 +68,7 @@ def compute_affine(x1, x2, weights: AdaINWeights, r):
                          f"do not equal r*{h} x r*{w} with r={r}")
     x1h = T.conv2d(x1, weights.expand_w, weights.expand_b)
     x1h = T.pixel_shuffle(x1h, r)
-    xh = T.conv2d(T.concat([x2, x1h], axis=-1), weights.fuse_w, weights.fuse_b)
+    xh = T.conv2d([x2, x1h], weights.fuse_w, weights.fuse_b)
     return T.conv2d(xh, weights.gamma_w, weights.gamma_b)
 
 

@@ -92,10 +92,19 @@ def save_pair(directory, sample_id, pair: TrainingPair):
         chft.save_tensor(directory / f"{sample_id}.{name}.chft", getattr(pair, name))
 
 
+def load_field(path, name):
+    """One image ``name`` of FIELDS, as train, eval and infer read it; NaN or inf is a FormatError."""
+    arr = chft.load_tensor(path)
+    bad = arr.size - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise chft.FormatError(f"{name} {path} holds {bad} non-finite values")
+    return arr
+
+
 def load_pair(directory, sample_id) -> TrainingPair:
     directory = Path(directory)
     return TrainingPair(**{
-        name: chft.load_tensor(directory / f"{sample_id}.{name}.chft") for name in FIELDS
+        name: load_field(directory / f"{sample_id}.{name}.chft", name) for name in FIELDS
     })
 
 
@@ -104,7 +113,11 @@ def write_manifest(directory, sample_ids):
 
 
 def read_manifest(directory):
-    return Path(directory, "manifest.txt").read_text().split()
+    path = Path(directory, "manifest.txt")
+    ids = path.read_text().split()
+    if not ids:
+        raise chft.FormatError(f"{path} lists no samples")
+    return ids
 
 
 def generate_dataset(directory, n_samples, r, base_spec: PhantomSpec):

@@ -50,13 +50,9 @@ class ModelConfig:
 
     def preflight(self, h, w):
         """Reject incompatible LR extents before any compute."""
-        problems = []
-        if h % self.g or w % self.g:
-            problems.append(f"extents {h}x{w} not divisible by window side g={self.g}")
-        if h % self.p_intra or w % self.p_intra:
-            problems.append(f"extents {h}x{w} not divisible by p_intra={self.p_intra}")
-        if h % self.p_inter or w % self.p_inter:
-            problems.append(f"extents {h}x{w} not divisible by p_inter={self.p_inter}")
+        problems = [f"extents {h}x{w} not divisible by {name}={n}"
+                    for name, n in (("window side g", self.g), ("p_intra", self.p_intra),
+                                    ("p_inter", self.p_inter)) if h % n or w % n]
         if problems:
             raise ShapeError("; ".join(problems))
 
@@ -99,8 +95,9 @@ def init_conv(k, c_in, c_out, rng, dtype, zero=False):
     return Conv(w=w, b=_zeros(c_out, dtype))
 
 
-def conv(x, c: Conv):
-    return T.conv2d(x, c.w, c.b)
+def conv(xs, c: Conv):
+    """Convolve one feature map, or the channel-wise join of a list of them."""
+    return T.conv2d(xs, c.w, c.b)
 
 
 @dataclass
@@ -117,9 +114,8 @@ def init_rrdb_weights(cfg: ModelConfig, rng, dtype, safe_start=True):
     d, gc = cfg.d, cfg.d // 2
     rdbs = []
     for _ in range(cfg.rdbs_per_rrdb):
-        convs = []
-        for i in range(cfg.convs_per_rdb - 1):
-            convs.append(init_conv(3, d + i * gc, gc, rng, dtype))
+        # conv i reads the block input and the i growth maps before it
+        convs = [init_conv(3, d + i * gc, gc, rng, dtype) for i in range(cfg.convs_per_rdb - 1)]
         last_in = d + (cfg.convs_per_rdb - 1) * gc
         convs.append(init_conv(3, last_in, d, rng, dtype, zero=safe_start))
         rdbs.append(RDBWeights(convs=convs))
@@ -178,16 +174,13 @@ def init_model(cfg: ModelConfig, seed=0, dtype=np.float64, safe_start=True):
             inter=init_inter_modality_weights(cfg.inter_cfg(), rng, dtype, safe_start),
         )
 
-    stages = []
-    for _ in range(cfg.stages):
-        stages.append(StageWeights(
-            rrdbs=[init_rrdb_weights(cfg, rng, dtype, safe_start)
-                   for _ in range(cfg.rrdbs_per_stage)],
-            struct_conv=init_conv(3, d, d, rng, dtype),
-            fuse_conv=init_conv(3, 2 * d, d, rng, dtype),
-            select_conv=init_conv(3, d, 1, rng, dtype),
-            block=block(),
-        ))
+    stages = [StageWeights(
+        rrdbs=[init_rrdb_weights(cfg, rng, dtype, safe_start) for _ in range(cfg.rrdbs_per_stage)],
+        struct_conv=init_conv(3, d, d, rng, dtype),
+        fuse_conv=init_conv(3, 2 * d, d, rng, dtype),
+        select_conv=init_conv(3, d, 1, rng, dtype),
+        block=block(),
+    ) for _ in range(cfg.stages)]
     return ModelState(
         gate_main=gate(), gate_struct=gate(), gate_context=gate(),
         stages=stages,
@@ -234,10 +227,8 @@ def load_state_arrays(state, arrays: dict):
 def rdb_forward(x, weights: RDBWeights):
     feats = [x]
     for c in weights.convs[:-1]:
-        inp = feats[0] if len(feats) == 1 else T.concat(feats, axis=-1)
-        feats.append(T.leaky_relu(conv(inp, c)))
-    delta = conv(T.concat(feats, axis=-1) if len(feats) > 1 else feats[0], weights.convs[-1])
-    return x + 0.2 * delta
+        feats.append(T.leaky_relu(conv(feats, c)))
+    return x + 0.2 * conv(feats, weights.convs[-1])
 
 
 def rrdb(x, weights: RRDBWeights):
@@ -252,6 +243,9 @@ def input_gate(i_in, r_s, r_c, state: ModelState, cfg: ModelConfig):
     """Lift the three input images to d-channel features (context keeps HR extents)."""
     h, w = i_in.shape[0], i_in.shape[1]
     cfg.preflight(h, w)
+    if r_s.shape[:2] != (h, w):
+        raise ShapeError(f"LR gradient extents {r_s.shape[0]}x{r_s.shape[1]} "
+                         f"do not equal the LR input's {h}x{w}")
     if r_c.shape[0] != cfg.r * h or r_c.shape[1] != cfg.r * w:
         raise ShapeError(f"guidance extents {r_c.shape[0]}x{r_c.shape[1]} "
                          f"do not equal r={cfg.r} times {h}x{w}")
@@ -286,7 +280,7 @@ def stage_forward(f_prev, p_prev, fc0, stage: StageWeights, cfg: ModelConfig):
     for w in stage.rrdbs:
         e_i = rrdb(e_i, w)
     fbar_s = conv(e_i, stage.struct_conv)
-    fs_i = conv(T.concat([p_prev, fbar_s], axis=-1), stage.fuse_conv)
+    fs_i = conv([p_prev, fbar_s], stage.fuse_conv)
     p_i = cohf_t_block(fs_i, fc0, stage.block, cfg)
     t_i = T.sigmoid(conv(fbar_s, stage.select_conv))
     f_i = e_i + t_i * p_i
@@ -295,7 +289,7 @@ def stage_forward(f_prev, p_prev, fc0, stage: StageWeights, cfg: ModelConfig):
 
 def output_gate(f_last, p_last, state: ModelState, r, i_bicubic):
     """Joint HR intensity / gradient synthesis; intensity rides a bicubic global skip."""
-    y = conv(T.concat([f_last, p_last], axis=-1), state.out_fuse)
+    y = conv([f_last, p_last], state.out_fuse)
     y = T.pixel_shuffle(y, r)
     y = T.gelu(y)
     i_out = conv(y, state.head_intensity) + i_bicubic
@@ -310,9 +304,8 @@ def forward(i_in, r_s, r_c, state: ModelState, cfg: ModelConfig):
     at HR extents.
     """
     dtype = state.head_intensity.b.data.dtype
-    i_in = i_in if isinstance(i_in, Tensor) else Tensor(np.asarray(i_in, dtype=dtype))
-    r_s = r_s if isinstance(r_s, Tensor) else Tensor(np.asarray(r_s, dtype=dtype))
-    r_c = r_c if isinstance(r_c, Tensor) else Tensor(np.asarray(r_c, dtype=dtype))
+    i_in, r_s, r_c = (x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
+                      for x in (i_in, r_s, r_c))
     f_i, p_i, fc0 = input_gate(i_in, r_s, r_c, state, cfg)
     for stage in state.stages:
         f_i, p_i = stage_forward(f_i, p_i, fc0, stage, cfg)

@@ -22,9 +22,7 @@ class AdamW:
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         for name, p in self.params:
-            g = grads.get(p)
-            if g is None:
-                g = np.zeros_like(p.data)
+            g = grads.get(p, 0.0)
             m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             update = (m / b1c) / (np.sqrt(v / b2c) + self.eps)

@@ -387,18 +387,6 @@ def transpose(a, axes):
     return _record("transpose", a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
-def concat(tensors, axis=-1):
-    tensors = list(tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record("concat", out, tuple(tensors), bw)
-
-
 def einsum(subscripts, a, b):
     """Two-operand einsum with the transposed-subscript gradient rule.
 
@@ -503,30 +491,37 @@ def layer_norm(a, gain, shift):
 # convolution
 
 
-def conv2d(x, weights, bias):
+def conv2d(xs, weights, bias):
     """Stride-1 cross-correlation with "same" zero padding; channel-last [.., h, w, c_in].
 
-    Weights are [k, k, c_in, c_out] with odd k; the output keeps the input's
-    h and w.  No patch matrix is kept: the forward runs one GEMM per tap on a
-    row shift of the flattened padded input, and the backward recomputes the
-    padded rows from the input.
+    ``xs`` is a tensor or a sequence of channel pieces with equal [.., h, w],
+    read as their channel concatenation: each piece is copied into its channel
+    slice of the padded input, and the backward returns one gradient per piece
+    (None where none is needed), so there is no concat primitive.  Weights are
+    [k, k, c_in, c_out] with odd k.  No patch matrix is kept: one GEMM per tap
+    on a row shift of the flattened padded input; the backward re-pads the pieces.
     """
+    pieces = (xs,) if isinstance(xs, Tensor) else tuple(xs)
     wd = weights.data
     if wd.ndim != 4 or wd.shape[0] != wd.shape[1] or not wd.shape[0] % 2:
         raise ShapeError(f"conv2d weights must be [k,k,c_in,c_out] with odd k, got {wd.shape}")
     k, _, c_in, c_out = wd.shape
-    if x.data.ndim < 3:
-        raise ShapeError(f"conv2d input must be at least [h,w,c], got {x.data.shape}")
-    h, w, cx = x.data.shape[-3:]
+    if not pieces or pieces[0].data.ndim < 3:
+        raise ShapeError(f"conv2d input must be at least [h,w,c], got {[p.data.shape for p in pieces]}")
+    extents = pieces[0].data.shape[:-1]
+    if any(p.data.shape[:-1] != extents for p in pieces):
+        raise ShapeError(f"conv2d pieces differ in [.., h, w]: {[p.data.shape for p in pieces]}")
+    lead, (h, w) = extents[:-2], extents[-2:]
     if not h or not w:  # "same" padding fits every other extent
         raise ShapeError(f"conv2d extents {h}x{w} are empty")
-    if cx != c_in:
-        raise ShapeError(f"conv2d channel mismatch: input has {cx}, weights expect {c_in}")
+    ends = np.cumsum([p.data.shape[-1] for p in pieces]).tolist()
+    if ends[-1] != c_in:
+        raise ShapeError(f"conv2d channel mismatch: input has {ends[-1]}, weights expect {c_in}")
     if bias.data.shape != (c_out,):
         raise ShapeError(f"conv2d bias must have shape ({c_out},), got {bias.data.shape}")
-    lead = x.data.shape[:-3]
+    spans = list(zip([0] + ends[:-1], ends))
     # no gradient for an operand that needs none, such as a raw input image
-    need_x, need_w, need_b = x.requires_grad, weights.requires_grad, bias.requires_grad
+    need_x, need_w, need_b = [p.requires_grad for p in pieces], weights.requires_grad, bias.requires_grad
     pad = (k - 1) // 2
     hp, wp = h + 2 * pad, w + 2 * pad
     # tap (i, j) reads the flattened padded rows shifted by i*wp + j; the
@@ -534,17 +529,18 @@ def conv2d(x, weights, bias):
     reach = (k - 1) * wp + k - 1
     taps = [(i, j, i * wp + j) for i in range(k) for j in range(k)]
 
-    def padded_rows(xd):
-        if pad:
-            xp = np.zeros(lead + (hp, wp, c_in), dtype=xd.dtype)
-            xp[..., pad:pad + h, pad:pad + w, :] = xd
-            xd = xp
-        return xd.reshape(-1, c_in)
+    def padded_rows():
+        if len(pieces) == 1 and not pad:
+            return pieces[0].data.reshape(-1, c_in)
+        xp = np.zeros(lead + (hp, wp, c_in), dtype=np.result_type(*(p.data for p in pieces)))
+        for p, (c0, c1) in zip(pieces, spans):
+            xp[..., pad:pad + h, pad:pad + w, c0:c1] = p.data
+        return xp.reshape(-1, c_in)
 
-    xf = padded_rows(x.data)
+    xf = padded_rows()
     rows = xf.shape[0]
     n = rows - reach
-    acc = np.empty((rows, c_out), dtype=np.result_type(x.data, wd))
+    acc = np.empty((rows, c_out), dtype=np.result_type(xf, wd))
     for t, (i, j, off) in enumerate(taps):
         if t:
             acc[:n] += xf[off:off + n] @ wd[i, j]
@@ -558,22 +554,24 @@ def conv2d(x, weights, bias):
             gz = np.zeros(lead + (hp, wp, c_out), dtype=g.dtype)
             gz[..., :h, :w, :] = g
         gf = gz.reshape(-1, c_out)[:n]
-        dx = dw = db = None
+        dxs = [None] * len(pieces)
+        dw = db = None
         if need_w:
-            xf = padded_rows(x.data)
+            xf = padded_rows()
             dw = np.empty(wd.shape, dtype=np.result_type(xf, gf))
             for i, j, off in taps:
                 dw[i, j] = xf[off:off + n].T @ gf
-        if need_x:
+        if any(need_x):
             dxf = np.zeros((rows, c_in), dtype=g.dtype)
             for i, j, off in taps:
                 dxf[off:off + n] += gf @ wd[i, j].T
             dx = dxf.reshape(lead + (hp, wp, c_in))[..., pad:pad + h, pad:pad + w, :]
+            dxs = [dx[..., c0:c1] if need else None for need, (c0, c1) in zip(need_x, spans)]
         if need_b:
             db = g.sum(axis=tuple(range(g.ndim - 1)))
-        return dx, dw, db
+        return (*dxs, dw, db)
 
-    return _record("conv2d", out, (x, weights, bias), bw)
+    return _record("conv2d", out, (*pieces, weights, bias), bw)
 
 
 def separable_blur(x, taps):
@@ -673,11 +671,8 @@ def pixel_shuffle(x, r):
 
 def forward_diff(x, axis):
     """Forward difference along an axis with replicate boundary (last slice = 0)."""
-    src = [slice(None)] * x.ndim
-    dst = [slice(None)] * x.ndim
-    src[axis] = slice(1, None)
-    dst[axis] = slice(0, -1)
-    src, dst = tuple(src), tuple(dst)
+    before = (slice(None),) * (axis % x.ndim)
+    src, dst = before + (slice(1, None),), before + (slice(0, -1),)
     out = np.zeros_like(x.data)
     out[dst] = x.data[src] - x.data[dst]
 

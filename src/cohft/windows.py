@@ -40,17 +40,13 @@ class WindowPlan:
         return np.stack(out)
 
 
-def _check_divisible(h, w, g, mode):
+def partition(x, g, mode):
+    """[h, w, d] -> ([h w / g^2, g, g, d], plan); gather per the plan's index map."""
+    h, w, d = x.shape
     if mode not in ("short", "long"):
         raise ValueError(f"mode must be 'short' or 'long', got {mode!r}")
     if h % g or w % g:
         raise ShapeError(f"window partition: extents h={h}, w={w} not divisible by g={g} ({mode} mode)")
-
-
-def partition(x, g, mode):
-    """[h, w, d] -> ([h w / g^2, g, g, d], plan); gather per the plan's index map."""
-    h, w, d = x.shape
-    _check_divisible(h, w, g, mode)
     plan = WindowPlan(h, w, g, mode)
     if mode == "short":
         y = T.reshape(x, (h // g, g, w // g, g, d))

@@ -140,7 +140,7 @@ def test_safe_start_equivalence(tmp_path):
             for w in stage.rrdbs:
                 e_i = rrdb(e_i, w)
             fbar = conv(e_i, stage.struct_conv)
-            p_i = conv(T.concat([p_i, fbar], axis=-1), stage.fuse_conv)
+            p_i = conv([p_i, fbar], stage.fuse_conv)
             t_i = T.sigmoid(conv(fbar, stage.select_conv))
             f_i = e_i + t_i * p_i
         up2 = Tensor(bicubic_upsample(i_in[:, :, 0], 2)[:, :, None])

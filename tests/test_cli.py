@@ -250,6 +250,53 @@ def test_indivisible_extents_are_one_line_error(tmp_path, capsys):
                                    "--out", str(out), "train"], "p_inter=5")
 
 
+def infer_args(data, out, sid, **paths):
+    """Arguments of `cohft infer` on one sample; ``paths`` replaces some of its images."""
+    return ["--set", f"data_dir={data}", "--out", str(out), "infer", str(out / "checkpoint.chft"),
+            *(str(paths.get(field, data / f"{sid}.{field}.chft"))
+              for field in ("t2_lr", "t2_lr_grad", "t1_hr_grad"))]
+
+
+def test_non_finite_input_is_one_line_error(tmp_path, capsys):
+    data, out = gen(tmp_path, samples=1)
+    assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
+    (sid,) = read_manifest(data)
+    nan_lr = tmp_path / "nan.t2_lr.chft"
+    chft.save_tensor(nan_lr, np.full((12, 12, 1), np.nan, dtype=np.float32))
+    assert_one_line_error(capsys, infer_args(data, out, sid, t2_lr=nan_lr),
+                          "t2_lr " + str(nan_lr) + " holds 144 non-finite values")
+    assert not (out / "i_out.chft").exists()
+    # an infinite guidance pixel in the dataset stops train and eval alike
+    guide = chft.load_tensor(data / f"{sid}.t1_hr_grad.chft")
+    guide[3, 5, 0] = np.inf
+    chft.save_tensor(data / f"{sid}.t1_hr_grad.chft", guide)
+    for command in (["train"], ["eval", str(out / "checkpoint.chft")]):
+        assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), *command],
+                              "t1_hr_grad " + str(data / f"{sid}.t1_hr_grad.chft") + " holds 1 non-finite")
+
+
+def test_mismatched_lr_gradient_is_one_line_error(tmp_path, capsys):
+    data, out = gen(tmp_path, samples=1)
+    assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
+    (sid,) = read_manifest(data)
+    small = tmp_path / "small.t2_lr_grad.chft"
+    chft.save_tensor(small, np.zeros((10, 10, 1), dtype=np.float32))
+    assert_one_line_error(capsys, infer_args(data, out, sid, t2_lr_grad=small),
+                          "LR gradient extents 10x10 do not equal the LR input's 12x12")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_manifest_is_one_line_error(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.txt").write_text("\n")
+    ckpt = tmp_path / "ckpt.chft"
+    chft.save_container(ckpt, state_arrays(init_model(preset("tiny", r=2), dtype=np.float32)))
+    args = {"train": ["train"], "eval": ["eval", str(ckpt)]}[command]
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(tmp_path / "out"), *args],
+                          "manifest.txt lists no samples")
+
+
 def test_cli_import_leaves_scipy_ndimage_unloaded():
     # only gen-data blurs, so train, eval and infer start without scipy.ndimage
     src = str(Path(cohft.__file__).resolve().parents[1])

@@ -120,15 +120,11 @@ def test_sum_mean_axes():
     assert grad_of(lambda: T.tsum(T.tmean(x32, axis=(0, 1))), x32).dtype == np.float32
 
 
-def test_reshape_transpose_concat():
+def test_reshape_transpose():
     rng = np.random.default_rng(6)
     x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    y = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     assert np.array_equal(T.reshape(x, (6, 4)).data, x.data.reshape(6, 4))
     assert np.array_equal(T.transpose(x, (2, 0, 1)).data, x.data.transpose(2, 0, 1))
-    cat = T.concat([x, y], axis=-1)
-    assert cat.shape == (2, 3, 8)
-    assert_grads_match(lambda: T.tsum(T.square(T.concat([x, y], axis=-1))), x, rng)
     assert_grads_match(lambda: T.tsum(T.square(T.transpose(x, (1, 0, 2)))), x, rng)
 
 
@@ -334,6 +330,33 @@ def test_conv2d_batched_equals_loop():
         assert np.array_equal(batched[i], single)
 
 
+def test_conv2d_pieces_equal_concatenated_input():
+    # channel pieces read as their concatenation: the same values, and each
+    # piece's gradient is its channel slice of the whole input's gradient
+    rng = np.random.default_rng(24)
+    widths = [2, 1, 3]
+    for k, lead, dtype in itertools.product([1, 3], [(), (2,)], [np.float32, np.float64]):
+        arrays = [rng.standard_normal(lead + (5, 7, c)).astype(dtype) for c in widths]
+        w = Tensor(rng.standard_normal((k, k, sum(widths), 4)).astype(dtype), requires_grad=True)
+        b = Tensor(rng.standard_normal(4).astype(dtype), requires_grad=True)
+        g = rng.standard_normal(lead + (5, 7, 4)).astype(dtype)
+        whole = Tensor(np.concatenate(arrays, axis=-1), requires_grad=True)
+        # the middle piece needs no gradient, as a raw input image would not
+        pieces = [Tensor(a, requires_grad=i != 1) for i, a in enumerate(arrays)]
+        with Tape() as tape:
+            want = T.conv2d(whole, w, b)
+            got = T.conv2d(pieces, w, b)
+        dx, dw, db = tape.nodes[0].backward_fn(g)
+        *dxs, dw_p, db_p = tape.nodes[1].backward_fn(g)
+        assert tape.nodes[1].inputs == (*pieces, w, b)
+        assert got.dtype == dtype and np.array_equal(got.data, want.data), (k, lead, dtype)
+        assert np.array_equal(dw_p, dw) and np.array_equal(db_p, db)
+        assert len(dxs) == 3 and dxs[1] is None
+        for dx_p, c0, c1 in zip(dxs, [0, 2, 3], [2, 3, 6]):
+            if dx_p is not None:
+                assert dx_p.dtype == dtype and np.array_equal(dx_p, dx[..., c0:c1])
+
+
 def test_conv2d_gradients():
     rng = np.random.default_rng(14)
     for k, lead in itertools.product(CONV_CASES, [(), (2,)]):
@@ -363,6 +386,10 @@ def test_conv2d_shape_errors():
         T.conv2d(x, Tensor(np.zeros((3, 3, 2, 3))), Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):  # an empty extent, as from an empty image file
         T.conv2d(Tensor(np.zeros((0, 6, 2))), Tensor(np.zeros((3, 3, 2, 3))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):  # pieces with different [h, w]
+        T.conv2d([x, Tensor(np.zeros((6, 5, 1)))], Tensor(np.zeros((3, 3, 3, 3))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):  # pieces whose channels do not add up to c_in
+        T.conv2d([x, Tensor(np.zeros((6, 6, 1)))], Tensor(np.zeros((3, 3, 2, 3))), Tensor(np.zeros(3)))
 
 
 def closure_arrays(fn):
@@ -400,6 +427,14 @@ def test_conv2d_tape_keeps_no_patch_buffer(k):
     held = [a.nbytes for a in closure_arrays(node.backward_fn)
             if a is not w.data and a is not b.data]
     assert held and max(held) <= padded
+    # two pieces (2 + 1 channels): the tape keeps the pieces, not their join
+    pieces = [Tensor(x.data[..., :2].copy(), requires_grad=True),
+              Tensor(x.data[..., 2:].copy(), requires_grad=True)]
+    with Tape() as tape:
+        T.conv2d(pieces, w, b)
+    (node,) = tape.nodes
+    held = [a for a in closure_arrays(node.backward_fn) if a is not w.data and a is not b.data]
+    assert held and all(a.shape[-1] != c for a in held)
 
 
 @given(h=st.integers(11, 40), w=st.integers(11, 40), c=st.integers(1, 5),
