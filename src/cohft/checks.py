@@ -7,6 +7,7 @@ All checks run at 64-bit precision.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,11 @@ def finite_diff_check(loss_fn, params, n_samples, rng, step=1e-5, tol=1e-4):
             lm = loss_fn().item()
             p.data[idx] = orig
             fd = (lp - lm) / (2.0 * h)
-            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-6)
+            # each loss value is rounded to within eps |l|, so fd itself is known
+            # only to within eps (|lp| + |lm|) / 2h: a mismatch below that bound
+            # is rounding, not a wrong gradient, whatever the gradient's size
+            noise = np.finfo(np.float64).eps * (abs(lp) + abs(lm)) / (2.0 * h)
+            rel = abs(fd - an) / max(abs(fd), abs(an), noise / tol)
             if rel <= tol:
                 break
         worst = max(worst, rel)
@@ -127,6 +132,52 @@ def check_primitive_gradients(rng):
 
     finite_diff_check(pieces, [("x", x), ("w", wy)], 4, rng, tol=1e-5)
     finite_diff_check(pieces, [("y", y)], 4, rng, tol=1e-5)
+
+
+def check_tape_contract(rng):
+    """The tape keeps what backward reads, links producer nodes, and backward consumes it.
+
+    Inside x + 0.2 * conv(x), the conv output is freed once the forward drops
+    it, and so is the input of a leaky_relu, while the tape lives.  Node
+    inputs are the producing nodes, a leaf standing for itself.  A second
+    backward raises TapeError, and a tensor recorded on an earlier tape is a
+    leaf of the next one.
+    """
+    x = Tensor(rng.standard_normal((6, 6, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 3, 4, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal(4), requires_grad=True)
+    with T.Tape() as tape:
+        c = T.conv2d(x, w, b)
+        watch = weakref.ref(c.data)
+        y = x + 0.2 * c
+        del c
+        assert watch() is None, "the tape keeps the conv output of x + 0.2 * conv(x)"
+        a = T.conv2d(y, w, b)
+        watch = weakref.ref(a.data)
+        z = T.leaky_relu(a)
+        del a
+        assert watch() is None, "the tape keeps the input of leaky_relu"
+        loss = T.tsum(T.square(z))
+    conv, scale, add, conv_y, relu, square, total = tape.nodes
+    assert [n.op for n in tape.nodes] == ["conv2d", "mul", "add", "conv2d", "leaky_relu",
+                                          "square", "sum"]
+    assert conv.inputs == (x, w, b) and scale.inputs[0] is conv and add.inputs == (x, scale)
+    assert conv_y.inputs == (add, w, b) and relu.inputs == (conv_y,) and total.inputs == (square,)
+    assert conv.out is None and add.out is y and total.out is loss
+    grads = T.backward(loss, tape)
+    assert set(grads) == {x, w, b}, "backward returns a gradient for something other than the leaves"
+    assert all(n.backward_fn is None for n in tape.nodes), "backward left a closure on the tape"
+    try:
+        T.backward(loss, tape)
+    except T.TapeError:
+        pass
+    else:
+        raise AssertionError("a second backward over a consumed tape did not raise TapeError")
+    with T.Tape() as later:
+        again = T.tsum(3.0 * y)
+    grads = T.backward(again, later)
+    assert list(grads) == [y] and np.array_equal(grads[y], np.full(y.shape, 3.0)), \
+        "a tensor from an earlier tape is not a leaf of the next"
 
 
 def check_erf_matches_math_erf(rng):
@@ -492,6 +543,7 @@ ALL_CHECKS = [
     ("tensor-core/pixel-shuffle-bijection", check_pixel_shuffle_bijection),
     ("tensor-core/softmax-row-sums-and-shift-invariance", check_softmax_properties),
     ("tensor-core/primitive-finite-difference-gradients", check_primitive_gradients),
+    ("tensor-core/tape-keeps-only-what-backward-reads", check_tape_contract),
     ("tensor-core/erf-matches-math-erf", check_erf_matches_math_erf),
     ("tensor-core/separable-blur-matches-conv2d", check_separable_blur_matches_conv2d),
     ("tensor-core/forward-determinism", check_forward_determinism),

@@ -7,6 +7,7 @@ u16 name length, the utf-8 name, then a full single-tensor blob.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -45,8 +46,8 @@ def _decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     shape = struct.unpack_from(f"<{ndim}I", buf, offset + 8)
     dtype = _DTYPES[code]
     start = offset + 8 + 4 * ndim
-    count = int(np.prod(shape)) if ndim else 1
-    end = start + count * dtype.itemsize
+    # exact: np.prod wraps around at 2^63 and can give 0 for huge extents
+    end = start + math.prod(shape) * dtype.itemsize
     if end > len(buf):
         raise FormatError("truncated payload")
     arr = np.frombuffer(buf[start:end], dtype=dtype).reshape(shape)
@@ -89,7 +90,10 @@ def load_container(path) -> dict[str, np.ndarray]:
         offset += 2
         if offset + nlen > len(buf):
             raise FormatError("truncated entry name")
-        name = buf[offset:offset + nlen].decode("utf-8")
+        try:
+            name = buf[offset:offset + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"entry name at byte {offset} is not UTF-8") from None
         offset += nlen
         arr, offset = _decode(buf, offset)
         out[name] = arr

@@ -5,10 +5,21 @@ active (``with Tape() as tape:``), every primitive application with an input tha
 requires a gradient is recorded so the adjoint pass can later walk the records in
 reverse order.  Layout is row-major with channel-last feature maps [h, w, d]; most
 primitives also accept one or more leading batch axes.
+
+What the tape keeps: a node links the nodes that produced its inputs (a leaf
+tensor, or a tensor recorded on an earlier tape, stands for itself), holds its
+output only weakly, and its backward closure captures only the arrays its
+gradient formula reads.  So a forward intermediate that no formula reads, such
+as a residual term or a pre-activation conv output, is freed as soon as the
+forward drops it.  ``backward`` consumes the tape: it clears each node's
+closure once called, and a second ``backward`` over the same tape raises
+``TapeError``.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import weakref
 
 import numpy as np
 
@@ -16,6 +27,7 @@ LN_EPS = 1e-5
 LEAKY_SLOPE = 0.2  # the RRDB activation's negative slope
 
 _TAPE_STACK: list["Tape"] = []
+_TAPE_SERIALS = itertools.count()
 
 
 class ShapeError(ValueError):
@@ -23,11 +35,13 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Raised when the adjoint pass is asked for a value the tape never produced."""
+    """Raised when the adjoint pass is asked for a value the tape never produced,
+    or walks a tape an earlier adjoint pass consumed."""
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad")
+    # node: the tape node that produced this tensor, or None for a leaf
+    __slots__ = ("data", "requires_grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -35,6 +49,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self.node = None
 
     @property
     def shape(self):
@@ -86,13 +101,26 @@ class Tensor:
 
 
 class Node:
-    __slots__ = ("op", "inputs", "out", "backward_fn")
+    """One recorded primitive application.
 
-    def __init__(self, op, inputs, out, backward_fn):
+    ``inputs`` holds, per operand, the node that produced it on the same tape,
+    or else the operand tensor itself (a leaf).  The output is held weakly, so
+    it lives only as long as the forward keeps it.
+    """
+    __slots__ = ("op", "inputs", "_out", "backward_fn", "tape_serial")
+    requires_grad = True  # a node is recorded only when its output needs a gradient
+
+    def __init__(self, op, inputs, out, backward_fn, tape_serial):
         self.op = op
         self.inputs = inputs
-        self.out = out
+        self._out = weakref.ref(out)
         self.backward_fn = backward_fn
+        self.tape_serial = tape_serial
+
+    @property
+    def out(self):
+        """The output tensor while something else keeps it alive, else None."""
+        return self._out()
 
 
 class Tape:
@@ -100,6 +128,9 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        # nodes carry the serial, not the tape, so that no node -> tape cycle
+        # delays freeing until the garbage collector runs
+        self.serial = next(_TAPE_SERIALS)
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -121,7 +152,12 @@ def _record(op, out_data, inputs, backward_fn):
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     # a node no gradient can reach is not kept, nor is the closure it holds
     if out.requires_grad and _TAPE_STACK:
-        _TAPE_STACK[-1].nodes.append(Node(op, tuple(inputs), out, backward_fn))
+        tape = _TAPE_STACK[-1]
+        serial = tape.serial
+        links = tuple(t.node if t.node is not None and t.node.tape_serial == serial else t
+                      for t in inputs)
+        out.node = Node(op, links, out, backward_fn, serial)
+        tape.nodes.append(out.node)
     return out
 
 
@@ -129,32 +165,31 @@ def backward(loss, tape):
     """Adjoint pass: gradients of a scalar tape output w.r.t. requires_grad leaves.
 
     Visits nodes in strict reverse recording order (reverse topological order by
-    construction).  Returns {leaf Tensor: gradient array}.
+    construction) and consumes them: each backward closure is dropped once
+    called.  Returns {leaf Tensor: gradient array}.
     """
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
-    produced = {id(n.out) for n in tape.nodes}
-    if id(loss) not in produced:
+    if loss.node is None or loss.node.tape_serial != tape.serial:
         raise TapeError("loss tensor was not produced on this tape")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {}
+    # keyed by node, or by leaf tensor; every node key is popped on its visit
+    grads = {loss.node: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
-        in_grads = node.backward_fn(g)
-        for t, ig in zip(node.inputs, in_grads):
-            if ig is None or not t.requires_grad:
+        fn, node.backward_fn = node.backward_fn, None
+        if fn is None:
+            raise TapeError("backward already ran over this tape")
+        for src, ig in zip(node.inputs, fn(g)):
+            if ig is None or not src.requires_grad:
                 continue
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + ig
+            if src in grads:
+                grads[src] = grads[src] + ig
             else:
-                grads[key] = ig
-                holders[key] = t
-
-    return {holders[key]: g for key, g in grads.items()}
+                grads[src] = ig
+    return grads
 
 
 def _unbroadcast(g, shape):
@@ -176,10 +211,11 @@ def add(a, b):
     b = _as_tensor(b, a)
     out = a.data + b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    sa, sb = a.data.shape, b.data.shape
 
     def bw(g):
-        return (_unbroadcast(g, a.data.shape) if need_a else None,
-                _unbroadcast(g, b.data.shape) if need_b else None)
+        return (_unbroadcast(g, sa) if need_a else None,
+                _unbroadcast(g, sb) if need_b else None)
 
     return _record("add", out, (a, b), bw)
 
@@ -189,10 +225,11 @@ def sub(a, b):
     b = _as_tensor(b, a)
     out = a.data - b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    sa, sb = a.data.shape, b.data.shape
 
     def bw(g):
-        return (_unbroadcast(g, a.data.shape) if need_a else None,
-                _unbroadcast(-g, b.data.shape) if need_b else None)
+        return (_unbroadcast(g, sa) if need_a else None,
+                _unbroadcast(-g, sb) if need_b else None)
 
     return _record("sub", out, (a, b), bw)
 
@@ -200,13 +237,16 @@ def sub(a, b):
 def mul(a, b):
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
-    ad, bd = a.data, b.data
-    out = ad * bd
+    out = a.data * b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    sa, sb = a.data.shape, b.data.shape
+    # each operand is kept only for the other operand's gradient
+    ad = a.data if need_b else None
+    bd = b.data if need_a else None
 
     def bw(g):
-        return (_unbroadcast(g * bd, ad.shape) if need_a else None,
-                _unbroadcast(g * ad, bd.shape) if need_b else None)
+        return (_unbroadcast(g * bd, sa) if need_a else None,
+                _unbroadcast(g * ad, sb) if need_b else None)
 
     return _record("mul", out, (a, b), bw)
 
@@ -338,9 +378,11 @@ def leaky_relu(a):
     ad = a.data
     # the same array as np.where(ad >= 0, ad, LEAKY_SLOPE * ad), without a mask
     out = np.maximum(ad, LEAKY_SLOPE * ad)
+    # the backward reads only the sign mask, one byte an entry, not the input
+    keep = ad >= 0
 
     def bw(g):
-        return (np.where(ad >= 0, g, LEAKY_SLOPE * g),)
+        return (np.where(keep, g, LEAKY_SLOPE * g),)
 
     return _record("leaky_relu", out, (a,), bw)
 
@@ -351,11 +393,12 @@ def leaky_relu(a):
 
 def tsum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.data.shape
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record("sum", out, (a,), bw)
 
@@ -365,12 +408,13 @@ def tmean(a, axis=None, keepdims=False):
     # a Python int, so that the gradient keeps the input's dtype
     denom = a.data.size if axis is None else math.prod(
         a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,)))
+    shape = a.data.shape
 
     def bw(g):
         gg = g / denom
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     return _record("mean", out, (a,), bw)
 
@@ -404,10 +448,11 @@ def einsum(subscripts, a, b):
                 raise ShapeError(f"einsum '{subscripts}': index '{ch}' is not differentiable here")
 
     out = np.einsum(subscripts, a.data, b.data, optimize=True)
+    ad, bd = a.data, b.data
 
     def bw(g):
-        ga = np.einsum(f"{out_sub},{sb}->{sa}", g, b.data, optimize=True)
-        gb = np.einsum(f"{out_sub},{sa}->{sb}", g, a.data, optimize=True)
+        ga = np.einsum(f"{out_sub},{sb}->{sa}", g, bd, optimize=True)
+        gb = np.einsum(f"{out_sub},{sa}->{sb}", g, ad, optimize=True)
         return ga, gb
 
     return _record("einsum:" + subscripts, out, (a, b), bw)
@@ -421,7 +466,6 @@ def matmul(a, b):
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {ad.shape} @ {bd.shape}")
     out = np.matmul(ad, bd)
-
     def bw(g):
         return (_unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape),
                 _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape))
@@ -465,7 +509,8 @@ def layer_norm(a, gain, shift):
     var = (np.square(xhat) @ ones_d) / d
     inv = (1.0 / np.sqrt(var + LN_EPS))[:, None]
     xhat *= inv
-    out = xhat * gain.data
+    gd = gain.data
+    out = xhat * gd
     out += shift.data
 
     def bw(g):
@@ -475,11 +520,11 @@ def layer_norm(a, gain, shift):
         dgain = ones_n @ gx
         dshift = ones_n @ gf
         # with dxhat = g * gain: dx = inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat))
-        m1 = (gf @ gain.data) / d
-        m2 = (gx @ gain.data) / d
+        m1 = (gf @ gd) / d
+        m2 = (gx @ gd) / d
         dx = xhat * m2[:, None]
         dx += m1[:, None]
-        np.multiply(gf, gain.data, out=gx)
+        np.multiply(gf, gd, out=gx)
         np.subtract(gx, dx, out=dx)
         dx *= inv
         return dx.reshape(g.shape), dgain, dshift
@@ -529,15 +574,16 @@ def conv2d(xs, weights, bias):
     reach = (k - 1) * wp + k - 1
     taps = [(i, j, i * wp + j) for i in range(k) for j in range(k)]
 
-    def padded_rows():
-        if len(pieces) == 1 and not pad:
-            return pieces[0].data.reshape(-1, c_in)
-        xp = np.zeros(lead + (hp, wp, c_in), dtype=np.result_type(*(p.data for p in pieces)))
-        for p, (c0, c1) in zip(pieces, spans):
-            xp[..., pad:pad + h, pad:pad + w, c0:c1] = p.data
+    def padded_rows(arrays):
+        if len(arrays) == 1 and not pad:
+            return arrays[0].reshape(-1, c_in)
+        xp = np.zeros(lead + (hp, wp, c_in), dtype=np.result_type(*arrays))
+        for a, (c0, c1) in zip(arrays, spans):
+            xp[..., pad:pad + h, pad:pad + w, c0:c1] = a
         return xp.reshape(-1, c_in)
 
-    xf = padded_rows()
+    arrays = [p.data for p in pieces]
+    xf = padded_rows(arrays)
     rows = xf.shape[0]
     n = rows - reach
     acc = np.empty((rows, c_out), dtype=np.result_type(xf, wd))
@@ -547,6 +593,8 @@ def conv2d(xs, weights, bias):
         else:
             np.matmul(xf[:n], wd[i, j], out=acc[:n])
     out = acc.reshape(lead + (hp, wp, c_out))[..., :h, :w, :] + bias.data
+    if not need_w:  # the pieces are read only for dw
+        arrays = None
 
     def bw(g):
         gz = g
@@ -554,10 +602,10 @@ def conv2d(xs, weights, bias):
             gz = np.zeros(lead + (hp, wp, c_out), dtype=g.dtype)
             gz[..., :h, :w, :] = g
         gf = gz.reshape(-1, c_out)[:n]
-        dxs = [None] * len(pieces)
+        dxs = [None] * len(spans)
         dw = db = None
         if need_w:
-            xf = padded_rows()
+            xf = padded_rows(arrays)
             dw = np.empty(wd.shape, dtype=np.result_type(xf, gf))
             for i, j, off in taps:
                 dw[i, j] = xf[off:off + n].T @ gf

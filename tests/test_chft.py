@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,18 @@ def test_container_cut_inside_entry_name(tmp_path):
         path.write_bytes(raw[:end])
         with pytest.raises(chft.FormatError, match="truncated entry name"):
             chft.load_container(path)
+
+
+def test_container_entry_name_not_utf8(tmp_path):
+    path = tmp_path / "k.chft"
+    path.write_bytes(struct.pack("<H", 2) + b"\xff\xfe" + chft._encode(np.ones(2)))
+    with pytest.raises(chft.FormatError, match="not UTF-8"):
+        chft.load_container(path)
+
+
+def test_huge_extents_are_truncated_payload(tmp_path):
+    # four extents of 2^31, whose element count wraps to 0 in int64, and 8 bytes
+    path = tmp_path / "l.chft"
+    path.write_bytes(b"CHFT" + struct.pack("<HBB4I", 1, 0, 4, *[2 ** 31] * 4) + bytes(8))
+    with pytest.raises(chft.FormatError, match="truncated payload"):
+        chft.load_tensor(path)

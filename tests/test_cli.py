@@ -1,5 +1,6 @@
 import csv
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -118,8 +119,9 @@ def test_zero_weighted_terms_stay_off_the_tape(tmp_path, monkeypatch, alpha, lam
     (_, r_out), = outputs
     nodes = tapes[0].nodes
     assert any(node.op == "separable_blur" for node in nodes) == on_tape
-    # at lam = 0 the gradient-domain term reads a detached copy of r_out
-    assert any(t is r_out for node in nodes for t in node.inputs) == on_tape
+    # at lam = 0 the gradient-domain term reads a detached copy of r_out; node
+    # inputs link the node that produced r_out, not the tensor
+    assert any(t is r_out.node for node in nodes for t in node.inputs) == on_tape
     # the log still shows loss_c, computed as it would be directly
     pair = load_pair(data, read_manifest(data)[0])
     lcfg = LossConfig(alpha=alpha, lam=lam)
@@ -243,6 +245,14 @@ def test_checkpoint_missing_a_parameter_is_one_line_error(tmp_path, capsys):
                           "checkpoint is missing parameter 'gate_main.lift.w'")
 
 
+def test_checkpoint_entry_name_not_utf8_is_one_line_error(tmp_path, capsys):
+    data, out = gen(tmp_path, samples=1)
+    ckpt = tmp_path / "bad_name.chft"
+    ckpt.write_bytes(struct.pack("<H", 2) + b"\xff\xfe" + chft._encode(np.ones(2, dtype=np.float32)))
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), "eval", str(ckpt)],
+                          "entry name at byte 2 is not UTF-8")
+
+
 def test_indivisible_extents_are_one_line_error(tmp_path, capsys):
     # preset S needs LR sides divisible by p_inter = 5; gen-data defaults give 48
     data, out = gen(tmp_path, samples=1, side=96)
@@ -283,6 +293,17 @@ def test_mismatched_lr_gradient_is_one_line_error(tmp_path, capsys):
     chft.save_tensor(small, np.zeros((10, 10, 1), dtype=np.float32))
     assert_one_line_error(capsys, infer_args(data, out, sid, t2_lr_grad=small),
                           "LR gradient extents 10x10 do not equal the LR input's 12x12")
+
+
+def test_huge_extents_are_one_line_error(tmp_path, capsys):
+    # four extents of 2^31 wrap an int64 element count to 0
+    data, out = gen(tmp_path, samples=1)
+    assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
+    (sid,) = read_manifest(data)
+    huge = tmp_path / "huge.t2_lr.chft"
+    huge.write_bytes(b"CHFT" + struct.pack("<HBB4I", 1, 0, 4, *[2 ** 31] * 4) + bytes(8))
+    assert_one_line_error(capsys, infer_args(data, out, sid, t2_lr=huge), "truncated payload")
+    assert not (out / "i_out.chft").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

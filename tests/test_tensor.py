@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohft import tensor as T
-from cohft.checks import check_erf_matches_math_erf, check_separable_blur_matches_conv2d
+from cohft.checks import (check_erf_matches_math_erf, check_separable_blur_matches_conv2d,
+                          check_tape_contract)
 from cohft.tensor import ShapeError, Tape, TapeError, Tensor, backward
 
 
@@ -510,6 +511,10 @@ def test_backward_rejects_foreign_and_nonscalar_losses():
     del z
     with pytest.raises(TapeError):
         backward(scalar, other)  # loss lives on a different tape
+
+
+def test_tape_keeps_only_what_backward_reads():
+    check_tape_contract(np.random.default_rng(25))
 
 
 def test_tensor_dtype_contract():
