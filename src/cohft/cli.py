@@ -14,7 +14,7 @@ from . import tensor as T
 from .checks import run_all_checks
 from .config import ConfigError, RunConfig, load_config
 from .data import FIELDS, PhantomSpec, generate_dataset, load_field, load_pair, read_manifest
-from .losses import LossConfig, gradient_map, loss_c, loss_in, psnr, ssim
+from .losses import LossConfig, objective, psnr, ssim
 from .model import (count_parameters, forward, init_model, load_state_arrays,
                     named_parameters, preset, state_arrays)
 from .optim import AdamW
@@ -55,15 +55,6 @@ def _forward(pair, state, mc):
     return i_out, r_out, Tensor(np.asarray(pair.t2_hr, dtype=i_out.data.dtype))
 
 
-def _loss_c(r_out, gt, lcfg):
-    return loss_c(r_out, gradient_map(gt, lcfg.epsilon_grad), lcfg)
-
-
-def _mean(terms):
-    """Batch mean, summed in sample order."""
-    return (1.0 / len(terms)) * sum(terms[1:], terms[0])
-
-
 def cmd_train(cfg: RunConfig):
     out = _out_dir(cfg)
     ids = read_manifest(cfg.data_dir)
@@ -86,15 +77,9 @@ def cmd_train(cfg: RunConfig):
             for start in range(0, len(order), cfg.batch_size):
                 batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
                 with T.Tape() as tape:
-                    li_terms, lc_terms = [], []
-                    for pair in batch:
-                        i_out, r_out, gt = _forward(pair, state, mc)
-                        li_terms.append(loss_in(i_out, gt, lcfg))
-                        # weighted by exactly 0, loss_c would only add zeros to the
-                        # gradient: detached, it records no tape node and serves the log
-                        lc_terms.append(_loss_c(r_out if cfg.lam else Tensor(r_out.data), gt, lcfg))
-                    li_mean, lc_mean = _mean(li_terms), _mean(lc_terms)
-                    total = li_mean + cfg.lam * lc_mean
+                    # a generator: each sample's loss follows its own forward
+                    total, li_mean, lc_mean = objective(
+                        (_forward(pair, state, mc) for pair in batch), lcfg)
                 if not np.isfinite(total.item()):
                     print(f"training diverged: non-finite loss at step {step + 1}", file=sys.stderr)
                     return 1
@@ -131,8 +116,8 @@ def cmd_eval(cfg: RunConfig, checkpoint):
     for sid in ids:
         pair = load_pair(cfg.data_dir, sid)
         i_out, r_out, gt = _forward(pair, state, mc)
-        li, lc = loss_in(i_out, gt, lcfg), _loss_c(r_out, gt, lcfg)
-        total = li.item() + cfg.lam * lc.item()
+        _, li, lc = objective([(i_out, r_out, gt)], lcfg)
+        total = li.item() + cfg.lam * lc.item()  # summed at f64 whatever the precision
         up = bicubic_upsample(pair.t2_lr[:, :, 0].astype(np.float64), cfg.r)[:, :, None]
         rows.append([
             sid,

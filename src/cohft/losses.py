@@ -1,8 +1,11 @@
-"""Gradient-map operator, SSIM/PSNR metrics, and the combined training objective.
+"""Gradient-map operator, SSIM/PSNR metrics, and the training objective.
 
-Both loss terms have the form alpha * MSE - (1 - alpha) * SSIM; the total adds
-the gradient-domain term with weight lam.  Everything here is built from the
-differentiable primitives, so losses can sit at the end of a recorded tape.
+Both loss terms have the form alpha * MSE - (1 - alpha) * SSIM.  objective,
+the one objective that train, eval and the checks run, averages them over a
+batch, adds the gradient-domain term with weight lam, and keeps a term of
+weight exactly 0 off the tape (alpha == 1 drops SSIM, lam == 0 detaches the
+gradient stream).  Everything here is built from the differentiable
+primitives, so losses can sit at the end of a recorded tape.
 """
 from __future__ import annotations
 
@@ -102,7 +105,26 @@ def loss_c(r_out, r_gt, cfg: LossConfig = LossConfig()):
     return _mse_minus_ssim(r_out, r_gt, cfg)
 
 
-def total_loss(i_out, r_out, i_gt, cfg: LossConfig = LossConfig()):
-    """L = L_in + lam * L_c; the gradient target is derived from I_gt internally."""
-    r_gt = gradient_map(i_gt, cfg.epsilon_grad)
-    return loss_in(i_out, i_gt, cfg) + cfg.lam * loss_c(r_out, r_gt, cfg)
+def _mean(terms):
+    """Batch mean, summed in sample order."""
+    return (1.0 / len(terms)) * sum(terms[1:], terms[0])
+
+
+def objective(samples, cfg: LossConfig = LossConfig()):
+    """(total, mean L_in, mean L_c) over (i_out, r_out, i_gt) samples, in sample order.
+
+    total = mean L_in + lam * mean L_c, the gradient target derived from each
+    I_gt.  At lam == 0, L_c is taken from the detached r_out: weighted by
+    exactly 0 it would only add zeros to the gradient, so it records no tape
+    node and serves the log alone.
+    """
+    li_terms, lc_terms = [], []
+    for i_out, r_out, i_gt in samples:
+        if i_gt.shape != i_out.shape:
+            raise ShapeError(f"ground truth extents {i_gt.shape} do not match "
+                             f"the output's {i_out.shape}")
+        li_terms.append(loss_in(i_out, i_gt, cfg))
+        r_gt = gradient_map(i_gt, cfg.epsilon_grad)
+        lc_terms.append(loss_c(r_out if cfg.lam else Tensor(r_out.data), r_gt, cfg))
+    li_mean, lc_mean = _mean(li_terms), _mean(lc_terms)
+    return li_mean + cfg.lam * lc_mean, li_mean, lc_mean

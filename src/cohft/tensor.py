@@ -82,9 +82,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -92,12 +89,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Node:
@@ -263,10 +254,6 @@ def div(a, b):
                 _unbroadcast(-g * ad / (bd * bd), bd.shape) if need_b else None)
 
     return _record("div", out, (a, b), bw)
-
-
-def neg(a):
-    return _record("neg", -a.data, (a,), lambda g: (-g,))
 
 
 def sqrt(a):

@@ -3,7 +3,9 @@
 Short mode partitions the map into contiguous g x g blocks.  Long mode samples
 dilated windows whose in-window neighbor distance is w/g horizontally and h/g
 vertically, so cascading the two modes reaches the full grid in two hops once
-g >= max(h, w)/g.  Both partitions are bijections; merge is the exact inverse.
+g >= max(h, w)/g.  Both layouts are written once, in _layout; partition
+applies them, and merge undoes them with the inverse axis order, so merge is
+the exact inverse of partition by construction.
 """
 from __future__ import annotations
 
@@ -16,63 +18,39 @@ from .attention import AttentionConfig, AttentionWeights, _uniform, _zeros, _one
 from .tensor import ShapeError, Tensor
 
 
-@dataclass(frozen=True)
-class WindowPlan:
-    h: int
-    w: int
-    g: int
-    mode: str  # "short" | "long"
+def _layout(h, w, g, mode):
+    """Split extents of [h, w] and the axis order that puts the window indices first.
 
-    def index_map(self):
-        """[n_windows, g, g, 2] array of (y, x) grid coordinates per window slot."""
-        g = self.g
-        ys, xs = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
-        out = []
-        if self.mode == "short":
-            for a in range(self.h // g):
-                for b in range(self.w // g):
-                    out.append(np.stack([a * g + ys, b * g + xs], axis=-1))
-        else:
-            sy, sx = self.h // g, self.w // g
-            for a in range(sy):
-                for b in range(sx):
-                    out.append(np.stack([a + ys * sy, b + xs * sx], axis=-1))
-        return np.stack(out)
-
-
-def partition(x, g, mode):
-    """[h, w, d] -> ([h w / g^2, g, g, d], plan); gather per the plan's index map."""
-    h, w, d = x.shape
+    Short mode splits each axis as (window, slot), so a window is a contiguous
+    g x g block; long mode splits it as (slot, window), so the slots of one
+    window lie h/g rows and w/g columns apart.
+    """
     if mode not in ("short", "long"):
         raise ValueError(f"mode must be 'short' or 'long', got {mode!r}")
     if h % g or w % g:
         raise ShapeError(f"window partition: extents h={h}, w={w} not divisible by g={g} ({mode} mode)")
-    plan = WindowPlan(h, w, g, mode)
     if mode == "short":
-        y = T.reshape(x, (h // g, g, w // g, g, d))
-        y = T.transpose(y, (0, 2, 1, 3, 4))
-    else:
-        sy, sx = h // g, w // g
-        y = T.reshape(x, (g, sy, g, sx, d))
-        y = T.transpose(y, (1, 3, 0, 2, 4))
-    return T.reshape(y, ((h * w) // (g * g), g, g, d)), plan
+        return (h // g, g, w // g, g), (0, 2, 1, 3)
+    return (g, h // g, g, w // g), (1, 3, 0, 2)
 
 
-def merge(windows, plan: WindowPlan):
-    """Exact inverse of partition."""
-    h, w, g = plan.h, plan.w, plan.g
-    nw = (h * w) // (g * g)
-    d = windows.shape[-1]
-    if windows.shape != (nw, g, g, d):
-        raise ShapeError(f"merge: window tensor {windows.shape} does not match plan "
-                         f"(expected {(nw, g, g, d)})")
-    if plan.mode == "short":
-        y = T.reshape(windows, (h // g, w // g, g, g, d))
-        y = T.transpose(y, (0, 2, 1, 3, 4))
-    else:
-        sy, sx = h // g, w // g
-        y = T.reshape(windows, (sy, sx, g, g, d))
-        y = T.transpose(y, (2, 0, 3, 1, 4))
+def partition(x, g, mode):
+    """[h, w, d] -> [h w / g^2, g, g, d]: the windows of _layout, row-major over windows."""
+    h, w, d = x.shape
+    split, perm = _layout(h, w, g, mode)
+    y = T.transpose(T.reshape(x, (*split, d)), (*perm, 4))
+    return T.reshape(y, ((h * w) // (g * g), g, g, d))
+
+
+def merge(windows, h, w, mode):
+    """Exact inverse of partition: [h w / g^2, g, g, d] -> [h, w, d]."""
+    g, d = windows.shape[1], windows.shape[-1]
+    split, perm = _layout(h, w, g, mode)
+    if windows.shape != ((h * w) // (g * g), g, g, d):
+        raise ShapeError(f"merge: window tensor {windows.shape} does not match {h}x{w} "
+                         f"(expected {((h * w) // (g * g), g, g, d)})")
+    y = T.reshape(windows, (*(split[i] for i in perm), d))
+    y = T.transpose(y, (*np.argsort(perm), 4))
     return T.reshape(y, (h, w, d))
 
 
@@ -118,8 +96,8 @@ def window_attention(x, g, mode, attn_weights: AttentionWeights, mlp_weights: ML
     Windows are evaluated as one batched attention call; the result is
     identical to looping basic_attention over each window.
     """
-    windows, plan = partition(x, g, mode)
+    windows = partition(x, g, mode)
     enhanced = basic_attention(windows, windows, attn_weights, cfg,
                                use_inter_head=use_inter_head)
-    merged = merge(enhanced, plan)
+    merged = merge(enhanced, x.shape[0], x.shape[1], mode)
     return residual_mlp(merged, mlp_weights)

@@ -20,14 +20,14 @@ from cohft import tensor as T
 from cohft.attention import head_affinity, intra_head_correlation, remix_heads
 from cohft.checks import (check_ablation_liveness, check_adain_alignment,
                           check_attention_row_stochastic, check_network_gradients,
-                          check_primitive_gradients, two_hop_covers_grid)
+                          check_primitive_gradients, check_window_bijectivity,
+                          two_hop_covers_grid)
 from cohft.losses import gradient_map, ssim
 from cohft.model import (conv, forward, init_model, input_gate, output_gate, preset,
                          rrdb, state_arrays)
 from cohft import chft
 from cohft.resample import bicubic_upsample
 from cohft.tensor import Tensor
-from cohft.windows import WindowPlan, merge, partition
 
 
 def test_gradient_fidelity():
@@ -65,20 +65,15 @@ def test_attention_algebra():
 
 
 def test_window_partitioning():
-    rng = np.random.default_rng(3)
-    for h in (6, 12, 24):
-        for w in (6, 12, 24):
-            for g in (2, 3, 6):
-                if h % g or w % g:
-                    continue
-                for mode in ("short", "long"):
-                    x = Tensor(rng.standard_normal((h, w, 2)))
-                    wins, plan = partition(x, g, mode)
-                    assert np.array_equal(merge(wins, plan).data, x.data), (h, w, g, mode)
-                    idx = WindowPlan(h, w, g, mode).index_map().reshape(-1, 2)
-                    assert len({(int(a), int(b)) for a, b in idx}) == h * w
-                if g >= max(h, w) / g:
-                    assert two_hop_covers_grid(h, w, g), (h, w, g)
+    # on every map of the grid, partition gathers the closed-form short and long
+    # windows and merge undoes it; where g >= max(h, w) / g the two modes
+    # cascade to the whole grid in two hops
+    maps = [(h, w, g) for h in (6, 12, 24) for w in (6, 12, 24) for g in (2, 3, 6)
+            if h % g == 0 and w % g == 0]
+    check_window_bijectivity(np.random.default_rng(3), maps)
+    for h, w, g in maps:
+        if g >= max(h, w) / g:
+            assert two_hop_covers_grid(h, w, g), (h, w, g)
 
 
 def test_reference_alignment():

@@ -295,6 +295,20 @@ def test_mismatched_lr_gradient_is_one_line_error(tmp_path, capsys):
                           "LR gradient extents 10x10 do not equal the LR input's 12x12")
 
 
+@pytest.mark.parametrize("rows, cols", [(12, 12), (1, 24)])
+def test_ground_truth_of_other_extents_is_one_line_error(tmp_path, capsys, rows, cols):
+    # 12x12 is the LR extent; a 1x24 ground truth would broadcast against the 24x24 output
+    data, out = gen(tmp_path, samples=1)
+    assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
+    (sid,) = read_manifest(data)
+    path = data / f"{sid}.t2_hr.chft"
+    chft.save_tensor(path, chft.load_tensor(path)[:rows, :cols])
+    for command in (["train"], ["--set", "alpha=1.0", "--set", "lam=0.0", "train"],
+                    ["eval", str(out / "checkpoint.chft")]):
+        assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), *command],
+                              f"ground truth extents ({rows}, {cols}, 1) do not match")
+
+
 def test_huge_extents_are_one_line_error(tmp_path, capsys):
     # four extents of 2^31 wrap an int64 element count to 0
     data, out = gen(tmp_path, samples=1)

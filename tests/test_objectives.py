@@ -7,7 +7,7 @@ from scipy.signal import convolve2d
 from cohft import tensor as T
 from cohft.checks import check_separable_blur_matches_conv2d
 from cohft.losses import (GRAD_EPS, SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, LossConfig,
-                          gradient_map, loss_c, loss_in, mse, psnr, ssim, total_loss)
+                          gradient_map, loss_c, loss_in, mse, objective, psnr, ssim)
 from cohft.tensor import ShapeError, Tape, Tensor, backward
 
 
@@ -125,8 +125,9 @@ def test_loss_composition():
     r_out = Tensor(rng.uniform(0, 1, (16, 16, 1)))
     li = loss_in(i_out, i_gt, cfg).item()
     lc = loss_c(r_out, gradient_map(i_gt, cfg.epsilon_grad), cfg).item()
-    total = total_loss(i_out, r_out, i_gt, cfg).item()
+    total, li_mean, lc_mean = (t.item() for t in objective([(i_out, r_out, i_gt)], cfg))
     assert abs(total - (li + 0.5 * lc)) <= 1e-12
+    assert (li_mean, lc_mean) == (li, lc)
     want_li = 0.95 * mse(i_out, i_gt).item() - 0.05 * ssim(i_out, i_gt).item()
     assert abs(li - want_li) <= 1e-12
 
@@ -147,7 +148,7 @@ def test_total_loss_gradients():
     i_gt = Tensor(rng.uniform(0, 1, (12, 12, 1)))
 
     def loss():
-        return total_loss(i_out, r_out, i_gt)
+        return objective([(i_out, r_out, i_gt)])[0]
 
     with Tape() as tape:
         l0 = loss()
@@ -164,3 +165,24 @@ def test_total_loss_gradients():
             t.data[idx] = orig
             want = (lp - lm) / (2 * h)
             assert abs(want - grads[t][idx]) <= 1e-4 * max(abs(want), abs(grads[t][idx]), 1e-3)
+
+
+def test_objective_averages_samples_in_order():
+    # two samples: (1/2)(li1 + li2) + lam (1/2)(lc1 + lc2), bit for bit
+    rng = np.random.default_rng(10)
+    cfg = LossConfig(alpha=0.95, lam=0.3)
+    samples = [tuple(Tensor(rng.uniform(0, 1, (16, 16, 1))) for _ in range(3)) for _ in range(2)]
+    li = [loss_in(i_out, i_gt, cfg).data for i_out, _, i_gt in samples]
+    lc = [loss_c(r_out, gradient_map(i_gt, cfg.epsilon_grad), cfg).data for _, r_out, i_gt in samples]
+    want = 0.5 * (li[0] + li[1]) + cfg.lam * (0.5 * (lc[0] + lc[1]))
+    total, li_mean, lc_mean = objective(samples, cfg)
+    assert np.array_equal(total.data, want)
+    assert np.array_equal(li_mean.data, 0.5 * (li[0] + li[1]))
+    assert np.array_equal(lc_mean.data, 0.5 * (lc[0] + lc[1]))
+
+
+def test_objective_rejects_ground_truth_of_other_extents():
+    out = Tensor(np.zeros((16, 16, 1)))
+    for gt in (np.zeros((8, 8, 1)), np.zeros((1, 16, 1))):  # the second would broadcast
+        with pytest.raises(ShapeError, match="ground truth"):
+            objective([(out, out, Tensor(gt))])

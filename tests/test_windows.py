@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from cohft.attention import AttentionConfig, init_attention_weights
-from cohft.checks import check_window_weight_sharing, two_hop_covers_grid
+from cohft import windows
+from cohft.checks import (check_two_hop_reachability, check_window_bijectivity,
+                          check_window_weight_sharing, two_hop_covers_grid, window_coords)
 from cohft.tensor import ShapeError, Tensor
-from cohft.windows import (WindowPlan, init_mlp_weights, merge, partition,
-                           residual_mlp, window_attention)
+from cohft.windows import init_mlp_weights, merge, partition, residual_mlp, window_attention
 
 COMBOS = [(h, w, g) for h in (6, 12, 24) for w in (6, 12, 24) for g in (2, 3, 6)
           if h % g == 0 and w % g == 0]
@@ -16,30 +17,54 @@ def test_partition_merge_bijective_all_combos():
     for h, w, g in COMBOS:
         for mode in ("short", "long"):
             x = Tensor(rng.standard_normal((h, w, 3)))
-            wins, plan = partition(x, g, mode)
+            wins = partition(x, g, mode)
             assert wins.shape == ((h * w) // (g * g), g, g, 3)
-            assert np.array_equal(merge(wins, plan).data, x.data)
+            assert np.array_equal(merge(wins, h, w, mode).data, x.data)
 
 
-def test_index_map_is_a_permutation():
+def test_window_coords_are_a_permutation():
     for h, w, g in COMBOS:
         for mode in ("short", "long"):
-            idx = WindowPlan(h, w, g, mode).index_map().reshape(-1, 2)
-            seen = {(int(a), int(b)) for a, b in idx}
-            assert len(seen) == h * w
+            idx = window_coords(h, w, g, mode).reshape(-1, 2)
+            assert len({(int(a), int(b)) for a, b in idx}) == h * w
+
+
+def slot_offsets(g, dy, dx):
+    """[g, g, 2] offsets of each window slot from slot (0, 0), for row and column strides."""
+    ys, xs = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
+    return np.stack([ys * dy, xs * dx], axis=-1)
 
 
 def test_short_window_is_contiguous_block():
-    plan = WindowPlan(6, 6, 3, "short")
-    first = plan.index_map()[0].reshape(-1, 2)
-    assert {tuple(map(int, yx)) for yx in first} == {(y, x) for y in range(3) for x in range(3)}
+    # window (a, b) is the g x g block whose corner is (a g, b g)
+    for h, w, g in COMBOS:
+        for n, win in enumerate(window_coords(h, w, g, "short")):
+            a, b = divmod(n, w // g)
+            assert tuple(win[0, 0]) == (a * g, b * g)
+            assert np.array_equal(win - win[0, 0], slot_offsets(g, 1, 1))
 
 
 def test_long_window_is_dilated():
-    # 4x4 grid, g = 2: stride is 2, first window hits the even lattice
-    plan = WindowPlan(4, 4, 2, "long")
-    first = plan.index_map()[0].reshape(-1, 2)
-    assert {tuple(map(int, yx)) for yx in first} == {(0, 0), (0, 2), (2, 0), (2, 2)}
+    # window (a, b) starts at pixel (a, b); its slots lie h/g rows and w/g columns apart
+    for h, w, g in COMBOS:
+        for n, win in enumerate(window_coords(h, w, g, "long")):
+            assert tuple(win[0, 0]) == divmod(n, w // g)
+            assert np.array_equal(win - win[0, 0], slot_offsets(g, h // g, w // g))
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda h, w, g: ((h // g, g, w // g, g), (0, 2, 1, 3)),     # long cut like short
+    lambda h, w, g: ((g, w // g, g, h // g), (1, 3, 0, 2)),     # long strides swapped
+], ids=["long-as-short", "long-strides-swapped"])
+def test_window_checks_catch_a_wrong_long_layout(monkeypatch, mutant):
+    # the checks read the layout through partition, so a wrong long layout fails
+    # both, though merge still undoes partition
+    layout = windows._layout
+    monkeypatch.setattr(windows, "_layout",
+                        lambda h, w, g, mode: mutant(h, w, g) if mode == "long" else layout(h, w, g, mode))
+    for check in (check_window_bijectivity, check_two_hop_reachability):
+        with pytest.raises(AssertionError):
+            check(np.random.default_rng(0))
 
 
 def test_partition_rejects_bad_extents():
@@ -52,9 +77,12 @@ def test_partition_rejects_bad_extents():
 
 def test_merge_rejects_mismatched_windows():
     x = Tensor(np.zeros((6, 6, 2)))
-    _, plan = partition(x, 3, "short")
+    wins = partition(x, 3, "short")
+    assert np.array_equal(merge(wins, 6, 6, "short").data, x.data)
     with pytest.raises(ShapeError):
-        merge(Tensor(np.zeros((4, 2, 2, 2))), plan)
+        merge(Tensor(np.zeros((4, 2, 2, 2))), 6, 6, "short")
+    with pytest.raises(ShapeError):
+        merge(wins, 6, 3, "short")
 
 
 def test_two_hop_reachability():
