@@ -56,11 +56,13 @@ def _forward(pair, state, mc):
 
 
 def cmd_train(cfg: RunConfig):
-    out = _out_dir(cfg)
     ids = read_manifest(cfg.data_dir)
     pairs = [load_pair(cfg.data_dir, sid) for sid in ids]
     mc, state = _model(cfg)
-    mc.preflight(pairs[0].t2_lr.shape[0], pairs[0].t2_lr.shape[1])
+    for pair in pairs:  # every sample, before --out is touched
+        mc.preflight(pair.t2_lr.shape, pair.t2_lr_grad.shape, pair.t1_hr_grad.shape,
+                     pair.t2_hr.shape)
+    out = _out_dir(cfg)
     lcfg = LossConfig(alpha=cfg.alpha, lam=cfg.lam)
     opt = AdamW(named_parameters(state), lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)

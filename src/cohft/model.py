@@ -48,13 +48,28 @@ class ModelConfig:
     def inter_cfg(self):
         return AttentionConfig(d=self.d, M=self.M, p=self.p_inter, rho=self.r)
 
-    def preflight(self, h, w):
-        """Reject incompatible LR extents before any compute."""
+    def preflight(self, lr, lr_grad, guide, gt=None):
+        """Reject a sample the model cannot take, before any compute.
+
+        The arguments are shapes: the LR input [h, w, 1], its gradient map
+        [h, w, 1], the guidance gradient map [r h, r w, 1] and, when given,
+        the ground truth, which must equal the output's [r h, r w, 1].
+        """
+        h, w = lr[0], lr[1]
         problems = [f"extents {h}x{w} not divisible by {name}={n}"
                     for name, n in (("window side g", self.g), ("p_intra", self.p_intra),
                                     ("p_inter", self.p_inter)) if h % n or w % n]
         if problems:
             raise ShapeError("; ".join(problems))
+        if tuple(lr_grad[:2]) != (h, w):
+            raise ShapeError(f"LR gradient extents {lr_grad[0]}x{lr_grad[1]} "
+                             f"do not equal the LR input's {h}x{w}")
+        if tuple(guide[:2]) != (self.r * h, self.r * w):
+            raise ShapeError(f"guidance extents {guide[0]}x{guide[1]} "
+                             f"do not equal r={self.r} times {h}x{w}")
+        out = (self.r * h, self.r * w, 1)
+        if gt is not None and tuple(gt) != out:
+            raise ShapeError(f"ground truth extents {tuple(gt)} do not match the output's {out}")
 
 
 _PRESETS = {
@@ -241,14 +256,7 @@ def rrdb(x, weights: RRDBWeights):
 
 def input_gate(i_in, r_s, r_c, state: ModelState, cfg: ModelConfig):
     """Lift the three input images to d-channel features (context keeps HR extents)."""
-    h, w = i_in.shape[0], i_in.shape[1]
-    cfg.preflight(h, w)
-    if r_s.shape[:2] != (h, w):
-        raise ShapeError(f"LR gradient extents {r_s.shape[0]}x{r_s.shape[1]} "
-                         f"do not equal the LR input's {h}x{w}")
-    if r_c.shape[0] != cfg.r * h or r_c.shape[1] != cfg.r * w:
-        raise ShapeError(f"guidance extents {r_c.shape[0]}x{r_c.shape[1]} "
-                         f"do not equal r={cfg.r} times {h}x{w}")
+    cfg.preflight(i_in.shape, r_s.shape, r_c.shape)
     f0 = rrdb(conv(i_in, state.gate_main.lift), state.gate_main.rrdb)
     fs0 = rrdb(conv(r_s, state.gate_struct.lift), state.gate_struct.rrdb)
     fc0 = rrdb(conv(r_c, state.gate_context.lift), state.gate_context.rrdb)

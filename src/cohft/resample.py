@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensor import ShapeError
+
 _A = -0.5
 
 
@@ -59,7 +61,7 @@ def degrade(hr, r):
     """Bicubic downsample by integer factor r, clamped to [0, 1]."""
     h, w = hr.shape[:2]
     if h % r or w % r:
-        raise ValueError(f"degrade: extents {h}x{w} not divisible by r={r}")
+        raise ShapeError(f"degrade: extents {h}x{w} not divisible by r={r}")
     if r == 1:
         return hr.copy()
     return np.clip(bicubic_resize(hr, h // r, w // r), 0.0, 1.0)

@@ -19,10 +19,12 @@ import cohft
 from cohft import tensor as T
 from cohft.attention import head_affinity, intra_head_correlation, remix_heads
 from cohft.checks import (check_ablation_liveness, check_adain_alignment,
-                          check_attention_row_stochastic, check_network_gradients,
-                          check_primitive_gradients, check_window_bijectivity,
-                          two_hop_covers_grid)
-from cohft.losses import gradient_map, ssim
+                          check_attention_row_stochastic, check_fold_unfold_identity,
+                          check_gradient_map_bounds, check_network_gradients,
+                          check_pixel_shuffle_bijection, check_primitive_gradients,
+                          check_ssim_identities, check_two_hop_reachability,
+                          check_window_bijectivity)
+from cohft.losses import gradient_map
 from cohft.model import (conv, forward, init_model, input_gate, output_gate, preset,
                          rrdb, state_arrays)
 from cohft import chft
@@ -71,9 +73,7 @@ def test_window_partitioning():
     maps = [(h, w, g) for h in (6, 12, 24) for w in (6, 12, 24) for g in (2, 3, 6)
             if h % g == 0 and w % g == 0]
     check_window_bijectivity(np.random.default_rng(3), maps)
-    for h, w, g in maps:
-        if g >= max(h, w) / g:
-            assert two_hop_covers_grid(h, w, g), (h, w, g)
+    check_two_hop_reachability(np.random.default_rng(3), maps)
 
 
 def test_reference_alignment():
@@ -83,17 +83,10 @@ def test_reference_alignment():
 
 def test_structural_identities():
     rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal((6, 6, 3)))
-    for p in (1, 2, 3):
-        assert np.array_equal(T.fold(T.unfold(x, p), p, 6, 6).data, x.data)
-    src = rng.standard_normal((3, 4, 8))
-    ps = T.pixel_shuffle(Tensor(src), 2)
-    back = ps.data.reshape(3, 2, 4, 2, 2).transpose(0, 2, 4, 1, 3).reshape(3, 4, 8)
-    assert np.array_equal(back, src)
-    img = Tensor(rng.uniform(0, 1, (16, 16, 1)))
-    assert ssim(img, img).item() == 1.0
-    const = gradient_map(Tensor(np.full((6, 6, 1), 0.7)))
-    assert np.all(const.data == 1e-3)
+    check_fold_unfold_identity(rng)
+    check_pixel_shuffle_bijection(rng)
+    check_ssim_identities(rng)
+    check_gradient_map_bounds(rng)
 
 
 def test_safe_start_equivalence(tmp_path):

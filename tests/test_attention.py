@@ -8,9 +8,9 @@ from cohft import tensor as T
 from cohft.attention import (AttentionConfig, basic_attention, head_affinity,
                              init_attention_weights, intra_head_correlation, remix_heads,
                              renew_values, tokenize)
-from cohft.checks import (check_attention_permutation_invariance, check_attention_safe_start,
-                          finite_diff_check)
-from cohft.tensor import ShapeError, Tape, Tensor, backward
+from cohft.checks import (check_attention_gradients, check_attention_permutation_invariance,
+                          check_attention_safe_start, finite_diff_check)
+from cohft.tensor import ShapeError, Tensor
 
 # frozen correlation values for hand-checkable token configurations
 SINGLE_PAIR_WEIGHT = 0.669761549326657      # softmax of logits [1/sqrt(2), 0]
@@ -195,26 +195,4 @@ def test_inter_head_switch_changes_output():
 
 
 def test_attention_weight_gradients():
-    rng = np.random.default_rng(10)
-    cfg = AttentionConfig(d=4, M=2, p=1, rho=1)
-    w = init_attention_weights(cfg, rng, safe_start=False)
-    x = Tensor(rng.standard_normal((6, 6, 4)))
-
-    def loss():
-        return T.tsum(T.square(basic_attention(x, x, w, cfg)))
-
-    with Tape() as tape:
-        l0 = loss()
-    grads = backward(l0, tape)
-    for p in (w.wq, w.wk, w.wv, w.out_w, w.embed1.conv_w, w.embed2.conv_w):
-        g = grads[p]
-        idx = tuple(int(rng.integers(s)) for s in p.shape)
-        h = 1e-6
-        orig = p.data[idx]
-        p.data[idx] = orig + h
-        lp = loss().item()
-        p.data[idx] = orig - h
-        lm = loss().item()
-        p.data[idx] = orig
-        want = (lp - lm) / (2 * h)
-        assert abs(want - g[idx]) <= 1e-5 * max(abs(want), abs(g[idx]), 1.0)
+    check_attention_gradients(np.random.default_rng(10))

@@ -12,7 +12,7 @@ import pytest
 import cohft
 from cohft import chft, cli
 from cohft import tensor as T
-from cohft.data import load_pair, read_manifest
+from cohft.data import PhantomSpec, load_pair, make_pair, read_manifest, save_pair, write_manifest
 from cohft.losses import LossConfig, gradient_map, loss_c, ssim
 from cohft.model import init_model, preset, state_arrays
 from cohft.resample import bicubic_upsample
@@ -298,15 +298,38 @@ def test_mismatched_lr_gradient_is_one_line_error(tmp_path, capsys):
 @pytest.mark.parametrize("rows, cols", [(12, 12), (1, 24)])
 def test_ground_truth_of_other_extents_is_one_line_error(tmp_path, capsys, rows, cols):
     # 12x12 is the LR extent; a 1x24 ground truth would broadcast against the 24x24 output
+    # a one-step run first: its train_log.csv holds a row that a rewrite would lose
     data, out = gen(tmp_path, samples=1)
-    assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
+    assert run(["--set", f"data_dir={data}", "--set", "steps=1", "--out", str(out), "train"]) == 0
     (sid,) = read_manifest(data)
     path = data / f"{sid}.t2_hr.chft"
     chft.save_tensor(path, chft.load_tensor(path)[:rows, :cols])
+    before = [(out / name).read_bytes() for name in ("train_log.csv", "checkpoint.chft")]
     for command in (["train"], ["--set", "alpha=1.0", "--set", "lam=0.0", "train"],
                     ["eval", str(out / "checkpoint.chft")]):
         assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), *command],
                               f"ground truth extents ({rows}, {cols}, 1) do not match")
+    # train checks every sample before it writes, so the earlier run in --out stays whole
+    assert [(out / name).read_bytes() for name in ("train_log.csv", "checkpoint.chft")] == before
+
+
+def test_bad_sample_anywhere_stops_train_before_it_writes(tmp_path, capsys):
+    # the fifth sample's 10 px LR side is not divisible by the tiny preset's g=3
+    data, _ = gen(tmp_path, samples=4)
+    save_pair(data, "sample_odd", make_pair(PhantomSpec(seed=9, side=20), 2))
+    write_manifest(data, read_manifest(data) + ["sample_odd"])
+    out = tmp_path / "run"
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--set", "steps=2", "--out", str(out),
+                                   "train"], "extents 10x10 not divisible by window side g=3")
+    assert not out.exists()
+
+
+def test_gen_data_side_not_divisible_by_r_is_one_line_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--set", "side=97",
+                                   "--out", str(tmp_path / "out"), "gen-data"],
+                          "extents 97x97 not divisible by r=2")
+    assert not data.exists()
 
 
 def test_huge_extents_are_one_line_error(tmp_path, capsys):

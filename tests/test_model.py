@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cohft import checks, chft
-from cohft.checks import (check_ablation_liveness, check_parameter_count, check_parameter_liveness,
-                          check_safe_start_equals_bicubic, tiny_inputs)
+from cohft.checks import (check_ablation_liveness, check_datagen_preflight,
+                          check_forward_determinism, check_parameter_count,
+                          check_parameter_liveness, check_safe_start_equals_bicubic, tiny_inputs)
 from cohft.model import (ModelConfig, count_parameters, forward, init_model,
                          init_rrdb_weights, load_state_arrays, named_parameters,
                          preset, rrdb, state_arrays)
@@ -53,15 +54,7 @@ def test_safe_start_forward_equals_bicubic():
 
 
 def test_forward_shapes_and_determinism():
-    rng = np.random.default_rng(2)
-    cfg = preset("tiny", r=2)
-    state = init_model(cfg, seed=3, safe_start=False)
-    i_in, r_s, r_c = tiny_inputs(rng)
-    a = forward(i_in, r_s, r_c, state, cfg)
-    b = forward(i_in, r_s, r_c, state, cfg)
-    assert a[0].shape == (24, 24, 1) and a[1].shape == (24, 24, 1)
-    assert np.array_equal(a[0].data, b[0].data)
-    assert np.array_equal(a[1].data, b[1].data)
+    check_forward_determinism(np.random.default_rng(2))
 
 
 def test_forward_rejects_bad_extents():
@@ -77,11 +70,18 @@ def test_forward_rejects_bad_extents():
 
 
 def test_preflight_messages():
+    check_datagen_preflight(np.random.default_rng(0))  # a generated sample passes
     cfg = ModelConfig(d=4, stages=1, rrdbs_per_stage=1, rdbs_per_rrdb=1,
                       convs_per_rdb=2, g=3, p_intra=1, p_inter=2, M=2, r=2)
-    with pytest.raises(ShapeError):
-        cfg.preflight(10, 10)  # not divisible by g = 3
-    cfg.preflight(12, 12)
+    lr, hr, small = (12, 12, 1), (24, 24, 1), (10, 10, 1)
+    cfg.preflight(lr, lr, hr, hr)
+    for shapes, needle in [((small, small, (20, 20, 1)), "not divisible by window side g=3"),
+                           ((lr, small, hr), "LR gradient extents 10x10 do not equal"),
+                           ((lr, lr, (24, 12, 1)), "guidance extents 24x12 do not equal r=2"),
+                           ((lr, lr, hr, (1, 24, 1)), "ground truth extents (1, 24, 1) do not")]:
+        with pytest.raises(ShapeError) as err:
+            cfg.preflight(*shapes)
+        assert needle in str(err.value)
 
 
 def test_ablation_switches_change_output():

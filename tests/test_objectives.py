@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.signal import convolve2d
 
-from cohft import tensor as T
-from cohft.checks import check_separable_blur_matches_conv2d
+from cohft.checks import (check_loss_gradients, check_separable_blur_matches_conv2d,
+                          finite_diff_check)
 from cohft.losses import (GRAD_EPS, SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, LossConfig,
                           gradient_map, loss_c, loss_in, mse, objective, psnr, ssim)
-from cohft.tensor import ShapeError, Tape, Tensor, backward
+from cohft.tensor import ShapeError, Tensor
 
 
 def test_gradient_map_constant_is_sqrt_eps():
@@ -94,19 +94,7 @@ def test_ssim_is_differentiable():
     rng = np.random.default_rng(5)
     x = Tensor(rng.uniform(0.2, 0.8, (16, 16, 1)), requires_grad=True)
     y = Tensor(rng.uniform(0.2, 0.8, (16, 16, 1)))
-    with Tape() as tape:
-        s = ssim(x, y)
-    g = backward(s, tape)[x]
-    idx = (7, 7, 0)
-    h = 1e-6
-    orig = x.data[idx]
-    x.data[idx] = orig + h
-    sp = ssim(x, y).item()
-    x.data[idx] = orig - h
-    sm = ssim(x, y).item()
-    x.data[idx] = orig
-    want = (sp - sm) / (2 * h)
-    assert abs(want - g[idx]) <= 1e-4 * max(abs(want), 1.0)
+    finite_diff_check(lambda: ssim(x, y), [("x", x)], 4, rng, tol=1e-4)
 
 
 def test_mse_and_psnr():
@@ -142,29 +130,7 @@ def test_pure_mse_configuration():
 
 
 def test_total_loss_gradients():
-    rng = np.random.default_rng(8)
-    i_out = Tensor(rng.uniform(0, 1, (12, 12, 1)), requires_grad=True)
-    r_out = Tensor(rng.uniform(0, 1, (12, 12, 1)), requires_grad=True)
-    i_gt = Tensor(rng.uniform(0, 1, (12, 12, 1)))
-
-    def loss():
-        return objective([(i_out, r_out, i_gt)])[0]
-
-    with Tape() as tape:
-        l0 = loss()
-    grads = backward(l0, tape)
-    for t in (i_out, r_out):
-        for _ in range(4):
-            idx = tuple(int(rng.integers(s)) for s in t.shape)
-            h = 1e-6
-            orig = t.data[idx]
-            t.data[idx] = orig + h
-            lp = loss().item()
-            t.data[idx] = orig - h
-            lm = loss().item()
-            t.data[idx] = orig
-            want = (lp - lm) / (2 * h)
-            assert abs(want - grads[t][idx]) <= 1e-4 * max(abs(want), abs(grads[t][idx]), 1e-3)
+    check_loss_gradients(np.random.default_rng(8))
 
 
 def test_objective_averages_samples_in_order():

@@ -7,33 +7,14 @@ from hypothesis import strategies as st
 
 from cohft import tensor as T
 from cohft.checks import (check_erf_matches_math_erf, check_separable_blur_matches_conv2d,
-                          check_tape_contract)
+                          check_softmax_properties, check_tape_contract, finite_diff_check)
 from cohft.tensor import ShapeError, Tape, TapeError, Tensor, backward
-
-
-def fd(loss_fn, t, idx, h=1e-6):
-    orig = t.data[idx]
-    t.data[idx] = orig + h
-    lp = loss_fn().item()
-    t.data[idx] = orig - h
-    lm = loss_fn().item()
-    t.data[idx] = orig
-    return (lp - lm) / (2.0 * h)
 
 
 def grad_of(loss_fn, t):
     with Tape() as tape:
         loss = loss_fn()
     return backward(loss, tape)[t]
-
-
-def assert_grads_match(loss_fn, t, rng, n=5, tol=1e-5):
-    g = grad_of(loss_fn, t)
-    for _ in range(n):
-        idx = tuple(int(rng.integers(s)) for s in t.shape)
-        want = fd(loss_fn, t, idx)
-        got = g[idx]
-        assert abs(want - got) <= tol * max(abs(want), abs(got), 1.0)
 
 
 def test_add_broadcast_gradients():
@@ -45,16 +26,16 @@ def test_add_broadcast_gradients():
     grads = backward(loss, tape)
     assert grads[a].shape == (3, 1, 4)
     assert grads[b].shape == (5, 4)
-    assert_grads_match(lambda: T.tsum(T.square(a + b)), a, rng)
-    assert_grads_match(lambda: T.tsum(T.square(a + b)), b, rng)
+    for name, t in (("a", a), ("b", b)):
+        finite_diff_check(lambda: T.tsum(T.square(a + b)), [(name, t)], 5, rng, tol=1e-5)
 
 
 def test_mul_div_gradients():
     rng = np.random.default_rng(1)
     a = Tensor(rng.uniform(0.5, 2.0, (4, 3)), requires_grad=True)
     b = Tensor(rng.uniform(0.5, 2.0, (4, 3)), requires_grad=True)
-    assert_grads_match(lambda: T.tsum(a * b), a, rng)
-    assert_grads_match(lambda: T.tsum(a / b), b, rng)
+    finite_diff_check(lambda: T.tsum(a * b), [("a", a)], 5, rng, tol=1e-5)
+    finite_diff_check(lambda: T.tsum(a / b), [("b", b)], 5, rng, tol=1e-5)
 
 
 def test_sqrt_square_values_and_gradients():
@@ -62,7 +43,7 @@ def test_sqrt_square_values_and_gradients():
     a = Tensor(rng.uniform(0.1, 4.0, (6,)), requires_grad=True)
     assert np.allclose(T.sqrt(a).data, np.sqrt(a.data))
     assert np.allclose(T.square(a).data, a.data ** 2)
-    assert_grads_match(lambda: T.tsum(T.sqrt(a)), a, rng)
+    finite_diff_check(lambda: T.tsum(T.sqrt(a)), [("a", a)], 5, rng, tol=1e-5)
 
 
 def test_gelu_matches_exact_form():
@@ -73,7 +54,7 @@ def test_gelu_matches_exact_form():
     got = T.gelu(Tensor(x)).data
     assert np.allclose(got, want, atol=1e-12)
     xt = Tensor(x, requires_grad=True)
-    assert_grads_match(lambda: T.tsum(T.gelu(xt)), xt, rng)
+    finite_diff_check(lambda: T.tsum(T.gelu(xt)), [("xt", xt)], 5, rng, tol=1e-5)
     x32 = Tensor(x.astype(np.float32), requires_grad=True)
     assert T.gelu(x32).dtype == np.float32
     assert grad_of(lambda: T.tsum(T.gelu(x32)), x32).dtype == np.float32
@@ -88,8 +69,8 @@ def test_sigmoid_leaky_relu():
     x = rng.standard_normal((15,))
     assert np.allclose(T.sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)))
     xt = Tensor(x + 0.05, requires_grad=True)  # keep away from the kink
-    assert_grads_match(lambda: T.tsum(T.square(T.leaky_relu(xt))), xt, rng)
-    assert_grads_match(lambda: T.tsum(T.square(T.sigmoid(xt))), xt, rng)
+    finite_diff_check(lambda: T.tsum(T.square(T.leaky_relu(xt))), [("xt", xt)], 5, rng, tol=1e-5)
+    finite_diff_check(lambda: T.tsum(T.square(T.sigmoid(xt))), [("xt", xt)], 5, rng, tol=1e-5)
     edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-40, -1e-40])
     x = np.concatenate([x, edges])
     g = rng.standard_normal(x.size)
@@ -115,7 +96,7 @@ def test_sum_mean_axes():
     assert np.allclose(T.tmean(Tensor(x), axis=(0, 1)).data, x.mean((0, 1)))
     assert T.tsum(Tensor(x), axis=0, keepdims=True).shape == (1, 4, 5)
     xt = Tensor(x, requires_grad=True)
-    assert_grads_match(lambda: T.tsum(T.square(T.tmean(xt, axis=2))), xt, rng)
+    finite_diff_check(lambda: T.tsum(T.square(T.tmean(xt, axis=2))), [("xt", xt)], 5, rng, tol=1e-5)
     x32 = Tensor(x.astype(np.float32), requires_grad=True)
     assert grad_of(lambda: T.tsum(T.tmean(x32, axis=(0, 1))), x32).dtype == np.float32
 
@@ -125,7 +106,8 @@ def test_reshape_transpose():
     x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     assert np.array_equal(T.reshape(x, (6, 4)).data, x.data.reshape(6, 4))
     assert np.array_equal(T.transpose(x, (2, 0, 1)).data, x.data.transpose(2, 0, 1))
-    assert_grads_match(lambda: T.tsum(T.square(T.transpose(x, (1, 0, 2)))), x, rng)
+    finite_diff_check(lambda: T.tsum(T.square(T.transpose(x, (1, 0, 2)))), [("x", x)], 5, rng,
+                      tol=1e-5)
 
 
 def test_einsum_matches_numpy():
@@ -133,8 +115,9 @@ def test_einsum_matches_numpy():
     a = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
     b = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     assert np.allclose(T.einsum("nd,de->ne", a, b).data, np.einsum("nd,de->ne", a.data, b.data))
-    assert_grads_match(lambda: T.tsum(T.square(T.einsum("nd,de->ne", a, b))), a, rng)
-    assert_grads_match(lambda: T.tsum(T.square(T.einsum("nd,de->ne", a, b))), b, rng)
+    for name, t in (("a", a), ("b", b)):
+        finite_diff_check(lambda: T.tsum(T.square(T.einsum("nd,de->ne", a, b))), [(name, t)], 5,
+                          rng, tol=1e-5)
 
 
 def test_einsum_with_batch_ellipsis():
@@ -146,8 +129,8 @@ def test_einsum_with_batch_ellipsis():
     assert np.allclose(out.data, want)
     def loss():
         return T.tsum(T.square(T.einsum("...nd,mde->...mne", T.transpose(a, (0, 2, 1, 3)), w)))
-    assert_grads_match(loss, a, rng)
-    assert_grads_match(loss, w, rng)
+    for name, t in (("a", a), ("w", w)):
+        finite_diff_check(loss, [(name, t)], 5, rng, tol=1e-5)
 
 
 def test_matmul():
@@ -155,8 +138,8 @@ def test_matmul():
     a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     assert np.allclose(T.matmul(a, b).data, a.data @ b.data)
-    assert_grads_match(lambda: T.tsum(T.square(T.matmul(a, b))), a, rng)
-    assert_grads_match(lambda: T.tsum(T.square(T.matmul(a, b))), b, rng)
+    for name, t in (("a", a), ("b", b)):
+        finite_diff_check(lambda: T.tsum(T.square(T.matmul(a, b))), [(name, t)], 5, rng, tol=1e-5)
 
 
 def test_matmul_broadcasts_head_weights_over_tokens():
@@ -171,8 +154,8 @@ def test_matmul_broadcasts_head_weights_over_tokens():
         return T.tsum(T.square(T.matmul(tok, w)))
     assert grad_of(loss, w).shape == (2, 3, 5)
     assert grad_of(loss, tok).shape == (6, 1, 4, 3)
-    assert_grads_match(loss, tok, rng)
-    assert_grads_match(loss, w, rng)
+    for name, t in (("tok", tok), ("w", w)):
+        finite_diff_check(loss, [(name, t)], 5, rng, tol=1e-5)
 
 
 def test_matmul_shape_errors():
@@ -186,14 +169,9 @@ def test_matmul_shape_errors():
 
 def test_softmax_rows_shift_and_overflow():
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((6, 7))
-    y = T.softmax(Tensor(x), -1).data
-    assert np.allclose(y.sum(-1), 1.0, atol=1e-12)
-    assert np.allclose(T.softmax(Tensor(x + 11.0), -1).data, y, atol=1e-12)
-    big = T.softmax(Tensor(np.array([1e4, 1e4 + 1.0])), -1).data
-    assert np.all(np.isfinite(big))
-    xt = Tensor(x, requires_grad=True)
-    assert_grads_match(lambda: T.tsum(T.square(T.softmax(xt, -1))), xt, rng)
+    check_softmax_properties(rng)
+    xt = Tensor(rng.standard_normal((6, 7)), requires_grad=True)
+    finite_diff_check(lambda: T.tsum(T.square(T.softmax(xt, -1))), [("xt", xt)], 5, rng, tol=1e-5)
 
 
 def test_layer_norm_moments_and_gradients():
@@ -205,11 +183,13 @@ def test_layer_norm_moments_and_gradients():
     assert np.all(np.abs(y.mean(-1)) <= 1e-10)
     assert np.all(np.abs(y.var(-1) - 1.0) <= 1e-3)  # eps-regularized variance
     xt = Tensor(x, requires_grad=True)
+    # a fixed random weighting: the sum of squares of a unit-gain output is
+    # constant in x up to eps, which leaves dx near zero
+    weight = Tensor(rng.standard_normal(x.shape))
     def loss():
-        return T.tsum(T.square(T.layer_norm(xt, gain, shift)))
-    assert_grads_match(loss, xt, rng)
-    assert_grads_match(loss, gain, rng)
-    assert_grads_match(loss, shift, rng)
+        return T.tsum(T.layer_norm(xt, gain, shift) * weight)
+    for name, t in (("xt", xt), ("gain", gain), ("shift", shift)):
+        finite_diff_check(loss, [(name, t)], 5, rng, tol=1e-5)
 
 
 def test_layer_norm_matches_two_pass_reference():
@@ -363,8 +343,8 @@ def test_conv2d_gradients():
         x, w, b = conv_inputs(k, lead, np.float64, 14)
         def loss():
             return T.tsum(T.square(T.conv2d(x, w, b)))
-        for t in (x, w, b):
-            assert_grads_match(loss, t, rng)
+        for name, t in (("x", x), ("w", w), ("b", b)):
+            finite_diff_check(loss, [(name, t)], 5, rng, tol=1e-5)
         # f32 keeps its dtype and agrees with the finite-difference-checked f64 gradient
         x32, w32, b32 = (Tensor(t.data.astype(np.float32), requires_grad=True) for t in (x, w, b))
         with Tape() as tape:
@@ -449,7 +429,8 @@ def test_separable_blur_gradients():
     rng = np.random.default_rng(20)
     taps = rng.uniform(-1.0, 1.0, 4)
     x = Tensor(rng.standard_normal((2, 7, 9, 3)), requires_grad=True)
-    assert_grads_match(lambda: T.tsum(T.square(T.separable_blur(x, taps))), x, rng, n=10)
+    finite_diff_check(lambda: T.tsum(T.square(T.separable_blur(x, taps))), [("x", x)], 10, rng,
+                      tol=1e-5)
     y = T.separable_blur(Tensor(x.data.astype(np.float32)), taps)
     assert y.shape == (2, 4, 6, 3) and y.dtype == np.float32
 
@@ -495,7 +476,8 @@ def test_forward_diff():
     want[:-1] = img[1:] - img[:-1]  # replicate boundary: last row difference is zero
     assert np.array_equal(dy, want)
     it = Tensor(img, requires_grad=True)
-    assert_grads_match(lambda: T.tsum(T.square(T.forward_diff(it, 1))), it, rng)
+    finite_diff_check(lambda: T.tsum(T.square(T.forward_diff(it, 1))), [("it", it)], 5, rng,
+                      tol=1e-5)
 
 
 def test_backward_rejects_foreign_and_nonscalar_losses():

@@ -4,7 +4,7 @@ import pytest
 from cohft.attention import AttentionConfig, init_attention_weights
 from cohft import windows
 from cohft.checks import (check_two_hop_reachability, check_window_bijectivity,
-                          check_window_weight_sharing, two_hop_covers_grid, window_coords)
+                          check_window_weight_sharing, window_coords)
 from cohft.tensor import ShapeError, Tensor
 from cohft.windows import init_mlp_weights, merge, partition, residual_mlp, window_attention
 
@@ -86,9 +86,7 @@ def test_merge_rejects_mismatched_windows():
 
 
 def test_two_hop_reachability():
-    for h, w, g in COMBOS:
-        if g >= max(h, w) / g:
-            assert two_hop_covers_grid(h, w, g), f"{h}x{w} g={g}"
+    check_two_hop_reachability(np.random.default_rng(4), COMBOS)
 
 
 def test_residual_mlp_safe_start_identity():
