@@ -97,7 +97,7 @@ def init_attention_weights(cfg: AttentionConfig, rng, dtype=np.float64, safe_sta
     return w
 
 
-def tokenize(x, weights: AttentionWeights, cfg: AttentionConfig, which):
+def tokenize(x, emb: EmbedWeights, k, p):
     """LN -> patch embedding -> LN -> GELU -> unfold(p); returns [.., N, d p^2].
 
     The embedding is a linear map of each flattened k x k patch: k = 1 on the
@@ -106,23 +106,17 @@ def tokenize(x, weights: AttentionWeights, cfg: AttentionConfig, which):
     with the [k, k, d, d] weights read as [1, 1, k^2 d, d].
     """
     h, w, d = x.shape[-3:]
-    if which == "input":
-        emb, k = weights.embed1, 1
-    elif which == "reference":
-        emb, k = weights.embed2, cfg.rho
-        if h % k or w % k:
-            raise ShapeError(f"reference extents h={h}, w={w} not divisible by rho={k}")
-        h, w = h // k, w // k
-    else:
-        raise ValueError(f"which must be 'input' or 'reference', got {which!r}")
-    if h % cfg.p or w % cfg.p:
-        raise ShapeError(f"registered extents h={h}, w={w} not divisible by p={cfg.p}")
+    if h % k or w % k:
+        raise ShapeError(f"extents h={h}, w={w} not divisible by the embedding patch side {k}")
+    h, w = h // k, w // k
+    if h % p or w % p:
+        raise ShapeError(f"registered extents h={h}, w={w} not divisible by p={p}")
     y = T.layer_norm(x, emb.pre_gain, emb.pre_shift)
     y = T.reshape(T.unfold(y, k), x.shape[:-3] + (h, w, k * k * d))
     y = T.conv2d(y, T.reshape(emb.conv_w, (1, 1, k * k * d, d)), emb.conv_b)
     y = T.layer_norm(y, emb.post_gain, emb.post_shift)
     y = T.gelu(y)
-    return T.unfold(y, cfg.p)
+    return T.unfold(y, p)
 
 
 def _swap_last(x):
@@ -169,8 +163,8 @@ def basic_attention(x1, x2, weights: AttentionWeights, cfg: AttentionConfig,
     shared weights).
     """
     h1, w1 = x1.shape[-3], x1.shape[-2]
-    t1 = tokenize(x1, weights, cfg, "input")
-    t2 = tokenize(x2, weights, cfg, "reference")
+    t1 = tokenize(x1, weights.embed1, 1, cfg.p)
+    t2 = tokenize(x2, weights.embed2, cfg.rho, cfg.p)
     if t1.shape[-2] != t2.shape[-2]:
         raise ShapeError(f"token counts differ after registration: {t1.shape[-2]} vs {t2.shape[-2]}")
     bias_shape = (cfg.M, 1, cfg.d_prime)

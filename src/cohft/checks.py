@@ -137,6 +137,14 @@ def check_primitive_gradients(rng):
     shift8 = Tensor(rng.standard_normal(8))
     finite_diff_check(lambda: T.tsum(T.square(T.layer_norm(z, gain8, shift8))), [("x", z)], 4, rng,
                       tol=1e-5)
+    # layouts that are not their own inverse, each read through a fixed random
+    # weighting, so that a backward with the forward's permutation is caught here
+    u = Tensor(rng.standard_normal((3, 4, 8)), requires_grad=True)
+    wu = Tensor(rng.standard_normal((6, 8, 2)))
+    finite_diff_check(lambda: T.tsum(T.pixel_shuffle(u, 2) * wu), [("u", u)], 4, rng, tol=1e-5)
+    v = Tensor(rng.standard_normal((4, 6, 2)), requires_grad=True)
+    wv = Tensor(rng.standard_normal((6, 2, 2, 2)))
+    finite_diff_check(lambda: T.tsum(partition(v, 2, "long") * wv), [("v", v)], 4, rng, tol=1e-5)
 
 
 def check_tape_contract(rng):

@@ -26,9 +26,9 @@ def _dtype(cfg: RunConfig):
     return np.float32 if cfg.precision == "f32" else np.float64
 
 
-def _model(cfg: RunConfig, safe_start=True):
+def _model(cfg: RunConfig):
     mc = preset(cfg.preset, r=cfg.r)
-    state = init_model(mc, seed=cfg.seed, dtype=_dtype(cfg), safe_start=safe_start)
+    state = init_model(mc, seed=cfg.seed, dtype=_dtype(cfg))
     return mc, state
 
 
@@ -40,6 +40,9 @@ def _out_dir(cfg: RunConfig):
 
 
 def cmd_gen_data(cfg: RunConfig):
+    if cfg.ellipses_max > 0 and not 0 <= cfg.ellipses_min <= cfg.ellipses_max:
+        raise ConfigError(f"ellipses_min must be between 0 and ellipses_max "
+                          f"({cfg.ellipses_max}), got {cfg.ellipses_min}")
     spec = PhantomSpec(seed=cfg.seed, side=cfg.side, ellipses_min=cfg.ellipses_min,
                        ellipses_max=cfg.ellipses_max, blur_sigma=cfg.blur_sigma,
                        noise_sigma=cfg.noise_sigma)
@@ -110,7 +113,6 @@ def _load_checkpoint(cfg, path):
 
 
 def cmd_eval(cfg: RunConfig, checkpoint):
-    out = _out_dir(cfg)
     mc, state = _load_checkpoint(cfg, checkpoint)
     lcfg = LossConfig(alpha=cfg.alpha, lam=cfg.lam)
     ids = read_manifest(cfg.data_dir)
@@ -129,7 +131,7 @@ def cmd_eval(cfg: RunConfig, checkpoint):
             psnr(up, pair.t2_hr),
             ssim(Tensor(up), Tensor(pair.t2_hr)).item(),
         ])
-    path = out / "metrics.csv"
+    path = _out_dir(cfg) / "metrics.csv"
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["sample_id", "psnr_db", "ssim", "loss_in", "loss_c", "total",
@@ -144,11 +146,11 @@ def cmd_eval(cfg: RunConfig, checkpoint):
 
 
 def cmd_infer(cfg: RunConfig, checkpoint, t2_lr_path, t2_lr_grad_path, t1_hr_grad_path):
-    out = _out_dir(cfg)
     mc, state = _load_checkpoint(cfg, checkpoint)
     i_in, r_s, r_c = (load_field(path, name) for path, name in
                       zip((t2_lr_path, t2_lr_grad_path, t1_hr_grad_path), FIELDS))
     i_out, r_out = forward(i_in, r_s, r_c, state, mc)
+    out = _out_dir(cfg)
     chft.save_tensor(out / "i_out.chft", i_out.data)
     chft.save_tensor(out / "r_out.chft", r_out.data)
     print(f"wrote {out / 'i_out.chft'} and {out / 'r_out.chft'}")

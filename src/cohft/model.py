@@ -26,16 +26,16 @@ from .windows import MLPWeights, init_mlp_weights, window_attention
 
 @dataclass
 class ModelConfig:
-    d: int = 32
-    stages: int = 4
-    rrdbs_per_stage: int = 5
-    rdbs_per_rrdb: int = 3
-    convs_per_rdb: int = 5
-    g: int = 6
-    p_intra: int = 1
-    p_inter: int = 5
-    M: int = 4
-    r: int = 4
+    d: int
+    stages: int
+    rrdbs_per_stage: int
+    rdbs_per_rrdb: int
+    convs_per_rdb: int
+    g: int
+    p_intra: int
+    p_inter: int
+    M: int
+    r: int
     use_short_wa: bool = True
     use_long_wa: bool = True
     use_inter_attn: bool = True

@@ -412,10 +412,26 @@ def reshape(a, shape):
     return _record("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(src),))
 
 
+def rearrange(x, split, perm, shape):
+    """Reshape -> transpose -> reshape of the trailing axes of x as one node.
+
+    ``split`` gives each trailing axis the extents it splits into, ``perm``
+    orders the split axes and ``shape`` is the trailing result; leading axes
+    ride along.  The backward runs the inverse and holds only shapes.
+    """
+    src = x.data.shape
+    nb = len(src) - len(split)
+    if nb < 0 or any(math.prod(parts) != n for parts, n in zip(split, src[nb:])):
+        raise ShapeError(f"rearrange: {src} does not split into {split}")
+    lead, flat = src[:nb], tuple(n for parts in split for n in parts)
+    axes = tuple(range(nb)) + tuple(nb + i for i in perm)
+    moved, inv = lead + tuple(flat[i] for i in perm), tuple(np.argsort(axes))
+    out = x.data.reshape(lead + flat).transpose(axes).reshape(lead + tuple(shape))
+    return _record("rearrange", out, (x,), lambda g: (g.reshape(moved).transpose(inv).reshape(src),))
+
+
 def transpose(a, axes):
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _record("transpose", a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
+    return rearrange(a, tuple((n,) for n in a.shape), axes, tuple(a.shape[i] for i in axes))
 
 
 def einsum(subscripts, a, b):
@@ -666,12 +682,8 @@ def unfold(x, p):
     h, w, d = x.shape[-3:]
     if h % p or w % p:
         raise ShapeError(f"unfold: extents h={h}, w={w} not divisible by p={p}")
-    lead = x.shape[:-3]
-    nb = len(lead)
-    y = reshape(x, lead + (h // p, p, w // p, p, d))
-    perm = tuple(range(nb)) + (nb, nb + 2, nb + 1, nb + 3, nb + 4)
-    y = transpose(y, perm)
-    return reshape(y, lead + ((h // p) * (w // p), p * p * d))
+    return rearrange(x, ((h // p, p), (w // p, p), (d,)), (0, 2, 1, 3, 4),
+                     ((h // p) * (w // p), p * p * d))
 
 
 def fold(tokens, p, h, w):
@@ -682,12 +694,7 @@ def fold(tokens, p, h, w):
     if dp2 % (p * p):
         raise ShapeError(f"fold: token width {dp2} not divisible by p^2={p * p}")
     d = dp2 // (p * p)
-    lead = tokens.shape[:-2]
-    nb = len(lead)
-    y = reshape(tokens, lead + (h // p, w // p, p, p, d))
-    perm = tuple(range(nb)) + (nb, nb + 2, nb + 1, nb + 3, nb + 4)
-    y = transpose(y, perm)
-    return reshape(y, lead + (h, w, d))
+    return rearrange(tokens, ((h // p, w // p), (p, p, d)), (0, 2, 1, 3, 4), (h, w, d))
 
 
 def pixel_shuffle(x, r):
@@ -696,12 +703,7 @@ def pixel_shuffle(x, r):
     if c % (r * r):
         raise ShapeError(f"pixel_shuffle: channels {c} not divisible by r^2={r * r}")
     d = c // (r * r)
-    lead = x.shape[:-3]
-    nb = len(lead)
-    y = reshape(x, lead + (h, w, d, r, r))
-    perm = tuple(range(nb)) + (nb, nb + 3, nb + 1, nb + 4, nb + 2)
-    y = transpose(y, perm)
-    return reshape(y, lead + (r * h, r * w, d))
+    return rearrange(x, ((h,), (w,), (d, r, r)), (0, 3, 1, 4, 2), (r * h, r * w, d))
 
 
 def forward_diff(x, axis):

@@ -35,23 +35,18 @@ def _layout(h, w, g, mode):
 
 
 def partition(x, g, mode):
-    """[h, w, d] -> [h w / g^2, g, g, d]: the windows of _layout, row-major over windows."""
-    h, w, d = x.shape
+    """[.., h, w, d] -> [.., h w / g^2, g, g, d]: the windows of _layout, row-major over windows."""
+    h, w, d = x.shape[-3:]
     split, perm = _layout(h, w, g, mode)
-    y = T.transpose(T.reshape(x, (*split, d)), (*perm, 4))
-    return T.reshape(y, ((h * w) // (g * g), g, g, d))
+    return T.rearrange(x, (split[:2], split[2:], (d,)), (*perm, 4), ((h * w) // (g * g), g, g, d))
 
 
 def merge(windows, h, w, mode):
-    """Exact inverse of partition: [h w / g^2, g, g, d] -> [h, w, d]."""
-    g, d = windows.shape[1], windows.shape[-1]
+    """Exact inverse of partition: [.., h w / g^2, g, g, d] -> [.., h, w, d]."""
+    g, d = windows.shape[-3], windows.shape[-1]
     split, perm = _layout(h, w, g, mode)
-    if windows.shape != ((h * w) // (g * g), g, g, d):
-        raise ShapeError(f"merge: window tensor {windows.shape} does not match {h}x{w} "
-                         f"(expected {((h * w) // (g * g), g, g, d)})")
-    y = T.reshape(windows, (*(split[i] for i in perm), d))
-    y = T.transpose(y, (*np.argsort(perm), 4))
-    return T.reshape(y, (h, w, d))
+    ny, nx, sy, sx = (split[i] for i in perm)
+    return T.rearrange(windows, ((ny, nx), (sy,), (sx,), (d,)), (*np.argsort(perm), 4), (h, w, d))
 
 
 @dataclass

@@ -88,14 +88,12 @@ def test_tokenize_shapes():
     w = init_attention_weights(cfg, rng)
     x1 = Tensor(rng.standard_normal((6, 6, 4)))
     x2 = Tensor(rng.standard_normal((12, 12, 4)))
-    t1 = tokenize(x1, w, cfg, "input")
-    t2 = tokenize(x2, w, cfg, "reference")
+    t1 = tokenize(x1, w.embed1, 1, cfg.p)
+    t2 = tokenize(x2, w.embed2, cfg.rho, cfg.p)
     assert t1.shape == (9, 16)
     assert t2.shape == (9, 16)
     with pytest.raises(ShapeError):
-        tokenize(Tensor(rng.standard_normal((7, 7, 4))), w, cfg, "reference")
-    with pytest.raises(ValueError):
-        tokenize(x1, w, cfg, "bogus")
+        tokenize(Tensor(rng.standard_normal((7, 7, 4))), w.embed2, cfg.rho, cfg.p)
 
 
 def layer_norm_oracle(x, gain, shift):
@@ -126,8 +124,8 @@ def test_tokenize_matches_numpy_oracle():
         for t in (emb.pre_gain, emb.pre_shift, emb.conv_b, emb.post_gain, emb.post_shift):
             t.data[...] = rng.standard_normal(t.shape)
         x = rng.standard_normal(shape)
-        got = tokenize(Tensor(x), w, cfg, which).data
         k = 1 if which == "input" else rho
+        got = tokenize(Tensor(x), emb, k, p).data
         want = np.stack([tokenize_oracle(xi, emb, k, p) for xi in x.reshape((-1,) + shape[-3:])])
         assert got.shape == shape[:-3] + want.shape[1:], which
         assert np.abs(got - want.reshape(got.shape)).max() <= 1e-12, (which, rho)

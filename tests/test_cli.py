@@ -332,6 +332,31 @@ def test_gen_data_side_not_divisible_by_r_is_one_line_error(tmp_path, capsys):
     assert not data.exists()
 
 
+@pytest.mark.parametrize("low", [9, -1])
+def test_gen_data_ellipses_min_out_of_range_is_one_line_error(tmp_path, capsys, low):
+    data = tmp_path / "data"
+    args = ["--set", f"data_dir={data}", "--set", "samples=1", "--set", "side=24",
+            "--out", str(tmp_path / "out")]
+    assert_one_line_error(capsys, [*args, "--set", f"ellipses_min={low}", "--set", "ellipses_max=3",
+                                   "gen-data"], f"between 0 and ellipses_max (3), got {low}")
+    assert not data.exists()
+    # with ellipses_max = 0 a phantom has no ellipses, whatever ellipses_min says
+    assert run([*args, "--set", "ellipses_min=9", "--set", "ellipses_max=0", "gen-data"]) == 0
+
+
+def test_failing_eval_and_infer_leave_the_run_config_echo(tmp_path, capsys):
+    data, out = gen(tmp_path, samples=1)
+    assert run(["--set", f"data_dir={data}", "--set", "steps=1", "--out", str(out), "train"]) == 0
+    (sid,) = read_manifest(data)
+    echo = (out / "config_echo.txt").read_bytes()
+    # the tiny checkpoint does not fit preset S, so both commands stop at its load
+    for args in (["--set", f"data_dir={data}", "--out", str(out), "eval", str(out / "checkpoint.chft")],
+                 infer_args(data, out, sid)):
+        assert_one_line_error(capsys, ["--set", "preset=S", *args],
+                              "parameter 'gate_main.lift.w': checkpoint shape")
+        assert (out / "config_echo.txt").read_bytes() == echo, args
+
+
 def test_huge_extents_are_one_line_error(tmp_path, capsys):
     # four extents of 2^31 wrap an int64 element count to 0
     data, out = gen(tmp_path, samples=1)

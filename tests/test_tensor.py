@@ -9,6 +9,7 @@ from cohft import tensor as T
 from cohft.checks import (check_erf_matches_math_erf, check_separable_blur_matches_conv2d,
                           check_softmax_properties, check_tape_contract, finite_diff_check)
 from cohft.tensor import ShapeError, Tape, TapeError, Tensor, backward
+from cohft.windows import merge, partition
 
 
 def grad_of(loss_fn, t):
@@ -466,6 +467,40 @@ def test_pixel_shuffle_oracle():
     assert np.array_equal(y, want)
     with pytest.raises(ShapeError):
         T.pixel_shuffle(Tensor(np.zeros((2, 2, 7))), 2)
+
+
+def test_rearrange_carries_leading_axes():
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.standard_normal((2, 3, 4, 6)), requires_grad=True)
+    # [.., 4, 6] -> split 6 as (2, 3), order (3, 4, 2), merge the first two
+    y = T.rearrange(x, ((4,), (2, 3)), (2, 0, 1), (12, 2))
+    want = x.data.reshape(2, 3, 4, 2, 3).transpose(0, 1, 4, 2, 3).reshape(2, 3, 12, 2)
+    assert np.array_equal(y.data, want)
+    wy = Tensor(rng.standard_normal(y.shape))
+    finite_diff_check(lambda: T.tsum(T.rearrange(x, ((4,), (2, 3)), (2, 0, 1), (12, 2)) * wy),
+                      [("x", x)], 5, rng, tol=1e-5)
+    for split in (((4,), (5,)), ((2, 3, 4, 6, 1, 1),) * 5):
+        with pytest.raises(ShapeError):
+            T.rearrange(x, split, (1, 0), (6, 4))
+
+
+def test_each_layout_records_one_rearrange_node():
+    # each with a leading batch axis: [2, 6, 6, 4] maps, [2, 4, 36] tokens, [2, 4, 3, 3, 4] windows
+    x, tokens, wins = (Tensor(np.zeros(shape), requires_grad=True)
+                       for shape in ((2, 6, 6, 4), (2, 4, 36), (2, 4, 3, 3, 4)))
+    layouts = {
+        "unfold": lambda: T.unfold(x, 3),
+        "fold": lambda: T.fold(tokens, 3, 6, 6),
+        "pixel_shuffle": lambda: T.pixel_shuffle(x, 2),
+        "transpose": lambda: T.transpose(x, (0, 2, 3, 1)),
+    }
+    for mode in ("short", "long"):
+        layouts[f"partition-{mode}"] = lambda mode=mode: partition(x, 3, mode)
+        layouts[f"merge-{mode}"] = lambda mode=mode: merge(wins, 6, 6, mode)
+    for name, fn in layouts.items():
+        with Tape() as tape:
+            fn()
+        assert [node.op for node in tape.nodes] == ["rearrange"], name
 
 
 def test_forward_diff():

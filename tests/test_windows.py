@@ -52,18 +52,20 @@ def test_long_window_is_dilated():
             assert np.array_equal(win - win[0, 0], slot_offsets(g, h // g, w // g))
 
 
-@pytest.mark.parametrize("mutant", [
-    lambda h, w, g: ((h // g, g, w // g, g), (0, 2, 1, 3)),     # long cut like short
-    lambda h, w, g: ((g, w // g, g, h // g), (1, 3, 0, 2)),     # long strides swapped
+@pytest.mark.parametrize("mutant, error", [
+    (lambda h, w, g: ((h // g, g, w // g, g), (0, 2, 1, 3)), AssertionError),  # long cut like short
+    # long strides swapped: on the checks' non-square maps the factors do not fit
+    # the axes they split, which rearrange rejects
+    (lambda h, w, g: ((g, w // g, g, h // g), (1, 3, 0, 2)), ShapeError),
 ], ids=["long-as-short", "long-strides-swapped"])
-def test_window_checks_catch_a_wrong_long_layout(monkeypatch, mutant):
+def test_window_checks_catch_a_wrong_long_layout(monkeypatch, mutant, error):
     # the checks read the layout through partition, so a wrong long layout fails
     # both, though merge still undoes partition
     layout = windows._layout
     monkeypatch.setattr(windows, "_layout",
                         lambda h, w, g, mode: mutant(h, w, g) if mode == "long" else layout(h, w, g, mode))
     for check in (check_window_bijectivity, check_two_hop_reachability):
-        with pytest.raises(AssertionError):
+        with pytest.raises(error):
             check(np.random.default_rng(0))
 
 
