@@ -102,8 +102,8 @@ def tokenize(x, emb: EmbedWeights, k, p):
 
     The embedding is a linear map of each flattened k x k patch: k = 1 on the
     input path, k = rho on the reference path, where it registers X2's extents
-    to X1's.  It runs as unfold(k) to [.., h/k, w/k, k^2 d], then a 1x1 conv
-    with the [k, k, d, d] weights read as [1, 1, k^2 d, d].
+    to X1's.  One rearrange takes the patches, in unfold's order, to
+    [.., h/k, w/k, k^2 d]; a 1x1 conv reads the [k, k, d, d] weights as [1, 1, k^2 d, d].
     """
     h, w, d = x.shape[-3:]
     if h % k or w % k:
@@ -112,41 +112,25 @@ def tokenize(x, emb: EmbedWeights, k, p):
     if h % p or w % p:
         raise ShapeError(f"registered extents h={h}, w={w} not divisible by p={p}")
     y = T.layer_norm(x, emb.pre_gain, emb.pre_shift)
-    y = T.reshape(T.unfold(y, k), x.shape[:-3] + (h, w, k * k * d))
+    y = T.rearrange(y, ((h, k), (w, k), (d,)), (0, 2, 1, 3, 4), (h, w, k * k * d))
     y = T.conv2d(y, T.reshape(emb.conv_w, (1, 1, k * k * d, d)), emb.conv_b)
     y = T.layer_norm(y, emb.post_gain, emb.post_shift)
     y = T.gelu(y)
     return T.unfold(y, p)
 
 
-def _swap_last(x):
-    nb = x.ndim - 2
-    return T.transpose(x, tuple(range(nb)) + (nb + 1, nb))
-
-
-def intra_head_correlation(q, k):
-    """Row-stochastic token affinity: softmax_j(q_i . k_j / sqrt(d')).
-
-    q [.., N, d'] and k [.., N', d'] give [.., N, N'].
-    """
+def intra_head_attention(q, k, v):
+    """Each head's tokens renewed by their affinity to the keys: softmax_j(q_i . k_j / sqrt(d')) v_j."""
     # scaling q [.., N, d'] costs N d' multiplies, the logits N N'
-    q = q * (1.0 / math.sqrt(q.shape[-1]))
-    return T.softmax(T.matmul(q, _swap_last(k)), axis=-1)
+    return T.attend(q * (1.0 / math.sqrt(q.shape[-1])), k, v)
 
 
-def renew_values(s, v):
-    """Each output row is the s-weighted combination of value rows."""
-    return T.matmul(s, v)
+def remix_heads(vt):
+    """u^(m)_n = sum_j (1 + A[n,m,j]) vhat^(j)_n on [.., N, M, d'] tokens.
 
-
-def head_affinity(vt):
-    """Per-token head-to-head affinity: [.., N, M, d'] -> [.., N, M, M]; unscaled logits."""
-    return T.softmax(T.matmul(vt, _swap_last(vt)), axis=-1)
-
-
-def remix_heads(vt, a):
-    """u^(m)_n = sum_j (1 + A[n,m,j]) vhat^(j)_n on [.., N, M, d'] tokens."""
-    return T.matmul(a, vt) + T.tsum(vt, axis=-2, keepdims=True)
+    A[n] = softmax(vhat_n vhat_n^T), unscaled, is token n's head-to-head affinity.
+    """
+    return T.attend(vt, vt, vt) + T.tsum(vt, axis=-2, keepdims=True)
 
 
 def _heads_linear(tokens, w):
@@ -171,11 +155,11 @@ def basic_attention(x1, x2, weights: AttentionWeights, cfg: AttentionConfig,
     q = _heads_linear(t1, weights.wq) + T.reshape(weights.bq, bias_shape)
     k = _heads_linear(t2, weights.wk)
     v = _heads_linear(t2, weights.wv) + T.reshape(weights.bv, bias_shape)
-    vhat = renew_values(intra_head_correlation(q, k), v)  # [.., M, N, d']
+    vhat = intra_head_attention(q, k, v)  # [.., M, N, d']
     nb = vhat.ndim - 3
     vt = T.transpose(vhat, tuple(range(nb)) + (nb + 1, nb, nb + 2))  # [.., N, M, d']
     if use_inter_head:
-        vt = remix_heads(vt, head_affinity(vt))
+        vt = remix_heads(vt)
     tokens_out = T.reshape(vt, vt.shape[:-2] + (cfg.d * cfg.p * cfg.p,))
     folded = T.fold(tokens_out, cfg.p, h1, w1)
     return x1 + T.conv2d(folded, weights.out_w, weights.out_b)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import (AttentionConfig, basic_attention, head_affinity, init_attention_weights,
-                        intra_head_correlation)
+from .attention import AttentionConfig, basic_attention, init_attention_weights, intra_head_attention
 from .crossmod import (IN_EPS, adain, channel_moments, init_adain_weights,
                        init_inter_modality_weights, instance_standardize,
                        inter_modality_attention)
@@ -92,14 +91,16 @@ def check_pixel_shuffle_bijection(rng):
 
 
 def check_softmax_properties(rng):
-    x = Tensor(rng.standard_normal((7, 9)))
-    y = T.softmax(x, -1)
-    assert np.all(np.abs(y.data.sum(-1) - 1.0) <= 1e-6)
-    shifted = T.softmax(Tensor(x.data + 3.7), -1)
-    assert np.allclose(shifted.data, y.data, atol=1e-12)
-    big = T.softmax(Tensor(np.array([1000.0, 1001.0])), -1)
-    ref = T.softmax(Tensor(np.array([0.0, 1.0])), -1)
-    assert np.array_equal(big.data, ref.data)
+    """attend(x, I, I) = softmax(x): rows sum to 1, shift-invariant, no overflow."""
+    def softmax(x):
+        eye = Tensor(np.eye(x.shape[-1]))
+        return T.attend(Tensor(x), eye, eye).data
+
+    x = rng.standard_normal((7, 9))
+    y = softmax(x)
+    assert np.all(np.abs(y.sum(-1) - 1.0) <= 1e-6)
+    assert np.allclose(softmax(x + 3.7), y, atol=1e-12)
+    assert np.array_equal(softmax(np.array([[1000.0, 1001.0]])), softmax(np.array([[0.0, 1.0]])))
 
 
 def check_primitive_gradients(rng):
@@ -111,7 +112,6 @@ def check_primitive_gradients(rng):
 
     cases = [
         ("conv2d", lambda: T.tsum(T.square(T.conv2d(x, w, b))), [("x", x), ("w", w), ("b", b)]),
-        ("softmax", lambda: T.tsum(T.square(T.softmax(x, -1))), [("x", x)]),
         ("layer_norm", lambda: T.tsum(T.square(T.layer_norm(x, gain, shift))),
          [("x", x), ("gain", gain), ("shift", shift)]),
         ("gelu", lambda: T.tsum(T.square(T.gelu(x))), [("x", x)]),
@@ -145,6 +145,12 @@ def check_primitive_gradients(rng):
     v = Tensor(rng.standard_normal((4, 6, 2)), requires_grad=True)
     wv = Tensor(rng.standard_normal((6, 2, 2, 2)))
     finite_diff_check(lambda: T.tsum(partition(v, 2, "long") * wv), [("v", v)], 4, rng, tol=1e-5)
+    # attend, q scaled; q, k and v get draws of their own, so a wrong dQ or dK cannot hide
+    q, k, va = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                for shape in ((2, 3, 4), (2, 5, 4), (2, 5, 2)))
+    wa = Tensor(rng.standard_normal((2, 3, 2)))
+    for name, t in (("q", q), ("k", k), ("v", va)):
+        finite_diff_check(lambda: T.tsum(T.attend(q * 0.5, k, va) * wa), [(name, t)], 4, rng, tol=1e-5)
 
 
 def check_tape_contract(rng):
@@ -265,14 +271,16 @@ def check_forward_determinism(rng):
 
 
 def check_attention_row_stochastic(rng):
+    """Intra-head and (unscaled) head affinities, read as attend of identity values, are row-stochastic."""
     for _ in range(50):
         q = Tensor(rng.standard_normal((6, 4)))
-        k = Tensor(rng.standard_normal((6, 4)))
-        s = intra_head_correlation(q, k)
-        assert np.all(np.abs(s.data.sum(-1) - 1.0) <= 1e-6)
-        vt = Tensor(np.stack([rng.standard_normal((6, 4)) for _ in range(3)], axis=1))
-        a = head_affinity(vt)
-        assert np.all(np.abs(a.data.sum(-1) - 1.0) <= 1e-6)
+        k = Tensor(rng.standard_normal((5, 4)))
+        vt = Tensor(rng.standard_normal((5, 4, 3)))
+        for a, shape in ((intra_head_attention(q, k, Tensor(np.eye(5))), (6, 5)),
+                         (T.attend(vt, vt, Tensor(np.broadcast_to(np.eye(4), (5, 4, 4)))), (5, 4, 4))):
+            assert a.shape == shape, (a.shape, shape)
+            assert np.all(a.data >= 0)
+            assert np.all(np.abs(a.data.sum(-1) - 1.0) <= 1e-6)
 
 
 def check_attention_safe_start(rng):

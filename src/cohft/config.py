@@ -1,6 +1,7 @@
 """Run configuration: plain-text key=value files with '#' comments plus overrides."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,7 +41,7 @@ class RunConfig:
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _POSITIVE = ("r", "batch_size", "lr_halve_epochs", "samples", "side")
-_NON_NEGATIVE = ("epochs", "steps")
+_NON_NEGATIVE = ("epochs", "steps", "blur_sigma", "noise_sigma")
 
 
 def _coerce(key, raw):
@@ -68,6 +69,9 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
         values[key] = _coerce(key, raw)
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if values["precision"] not in ("f32", "f64"):
         raise ConfigError(f"precision must be f32 or f64, got {values['precision']!r}")
     for key in _POSITIVE:

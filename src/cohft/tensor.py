@@ -407,8 +407,11 @@ def tmean(a, axis=None, keepdims=False):
 
 
 def reshape(a, shape):
+    """``a`` viewed with another shape; to its own shape it is ``a`` itself, and records nothing."""
     shape = tuple(shape)
     src = a.data.shape
+    if shape == src:
+        return a
     return _record("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(src),))
 
 
@@ -441,7 +444,7 @@ def einsum(subscripts, a, b):
     operand (no forward-summed singleton indices).  Forward and backward let
     numpy hand the contraction to BLAS where the subscripts allow it; indices
     shared by both operands and the output (a batch axis) do not, and such
-    contractions run faster through ``matmul``.
+    contractions run faster through ``np.matmul``.
     """
     in_subs, out_sub = subscripts.split("->")
     sa, sb = in_subs.split(",")
@@ -461,40 +464,39 @@ def einsum(subscripts, a, b):
     return _record("einsum:" + subscripts, out, (a, b), bw)
 
 
-def matmul(a, b):
-    """Matrix product over the last two axes; leading axes broadcast as in np.matmul."""
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul operands must be at least 2-D, got {ad.shape} and {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul inner extents differ: {ad.shape} @ {bd.shape}")
-    out = np.matmul(ad, bd)
-    def bw(g):
-        return (_unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape),
-                _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape))
-
-    return _record("matmul", out, (a, b), bw)
-
-
 # ---------------------------------------------------------------------------
-# normalization and attention support
+# attention and normalization
 
 
-def softmax(a, axis=-1):
-    """Numerically stabilized softmax: subtracts the axis max before exp."""
-    x = a.data
-    out = x - x.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+def attend(q, k, v):
+    """softmax(q k^T) v over the last two axes: q [.., N, e], k [.., N', e], v [.., N', f].
+
+    Leading axes must be equal, none broadcast; the caller scales q.  The
+    row-max-shifted softmax S overwrites the logits, so one [.., N, N'] array
+    is alive.  Backward (Dao et al. 2022, "FlashAttention"): dV = S^T dO,
+    dS = dO V^T, dL = S (dS - rowsum(dS S)), dQ = dL K, dK = dL^T Q.  Inputs
+    are recorded as (v, q, k): one tensor passed as all three sums dV + dQ + dK.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim < 2 or kd.ndim != qd.ndim or vd.shape[:-1] != kd.shape[:-1] \
+            or kd.shape[:-2] + kd.shape[-1:] != qd.shape[:-2] + qd.shape[-1:]:
+        raise ShapeError(f"attend needs q [.., N, e], k [.., N', e] and v [.., N', f] with equal "
+                         f"leading axes, got {qd.shape}, {kd.shape} and {vd.shape}")
+    s = np.matmul(qd, kd.swapaxes(-1, -2))
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        dx = g * out
-        dot = dx.sum(axis=axis, keepdims=True)
-        np.subtract(g, dot, out=dx)
-        dx *= out
-        return (dx,)
+        ds = np.matmul(g, vd.swapaxes(-1, -2))
+        dl = ds * s
+        np.subtract(ds, dl.sum(axis=-1, keepdims=True), out=dl)
+        dl *= s
+        # dK as (Q^T dL)^T: BLAS sums dL^T Q in another order, which moves the last bits
+        return (np.matmul(s.swapaxes(-1, -2), g), np.matmul(dl, kd),
+                np.matmul(qd.swapaxes(-1, -2), dl).swapaxes(-1, -2))
 
-    return _record("softmax", out, (a,), bw)
+    return _record("attend", np.matmul(s, vd), (v, q, k), bw)
 
 
 def layer_norm(a, gain, shift):

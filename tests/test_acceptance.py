@@ -17,7 +17,7 @@ import numpy as np
 
 import cohft
 from cohft import tensor as T
-from cohft.attention import head_affinity, intra_head_correlation, remix_heads
+from cohft.attention import intra_head_attention, remix_heads
 from cohft.checks import (check_ablation_liveness, check_adain_alignment,
                           check_attention_row_stochastic, check_fold_unfold_identity,
                           check_gradient_map_bounds, check_network_gradients,
@@ -48,22 +48,24 @@ def test_attention_algebra():
     rng = np.random.default_rng(2)
     check_attention_row_stochastic(rng)
 
-    # single head: the correlation matrix is 1, so mixing doubles the values
+    # single head: the head affinity is 1, so mixing doubles the values
     v = Tensor(rng.standard_normal((8, 1, 5)))
-    u = remix_heads(v, head_affinity(v))
-    assert np.array_equal(u.data, 2.0 * v.data)
+    assert np.array_equal(remix_heads(v).data, 2.0 * v.data)
 
-    # hand-checked scalar: keys [1,0] and [0,0] against query [1,0] in d' = 2
-    s = intra_head_correlation(Tensor(np.array([[1.0, 0.0]])),
-                               Tensor(np.array([[1.0, 0.0], [0.0, 0.0]])))
+    # hand-checked scalar: keys [1,0] and [0,0] against query [1,0] in d' = 2,
+    # read through identity values
+    s = intra_head_attention(Tensor(np.array([[1.0, 0.0]])),
+                             Tensor(np.array([[1.0, 0.0], [0.0, 0.0]])), Tensor(np.eye(2)))
     want = math.exp(2 ** -0.5) / (1.0 + math.exp(2 ** -0.5))  # 0.66976...
     assert abs(s.data[0, 0] - want) <= 1e-4
+    assert abs(s.data[0, 1] - (1.0 - want)) <= 1e-4
 
-    # hand-checked two-head case: orthonormal heads give softmax([1, 0]) rows
-    a = head_affinity(Tensor(np.stack([np.array([[1.0, 0.0]]),
-                                       np.array([[0.0, 1.0]])], axis=1)))
-    assert abs(a.data[0, 0, 0] - math.e / (math.e + 1.0)) <= 1e-4
-    assert abs(a.data[0, 0, 1] - 1.0 / (math.e + 1.0)) <= 1e-4
+    # hand-checked two-head case: orthonormal heads have unscaled logits [1, 0],
+    # so head m gets sigma = e / (e + 1) of itself and 1 - sigma of the other,
+    # plus the plain head sum [1, 1]
+    u = remix_heads(Tensor(np.eye(2)[None]))
+    sigma = math.e / (math.e + 1.0)
+    assert np.abs(u.data[0] - [[1.0 + sigma, 2.0 - sigma], [2.0 - sigma, 1.0 + sigma]]).max() <= 1e-12
 
 
 def test_window_partitioning():

@@ -5,71 +5,11 @@ import pytest
 from test_tensor import conv_oracle
 
 from cohft import tensor as T
-from cohft.attention import (AttentionConfig, basic_attention, head_affinity,
-                             init_attention_weights, intra_head_correlation, remix_heads,
-                             renew_values, tokenize)
+from cohft.attention import (AttentionConfig, basic_attention, init_attention_weights, remix_heads,
+                             tokenize)
 from cohft.checks import (check_attention_gradients, check_attention_permutation_invariance,
                           check_attention_safe_start, finite_diff_check)
 from cohft.tensor import ShapeError, Tensor
-
-# frozen correlation values for hand-checkable token configurations
-SINGLE_PAIR_WEIGHT = 0.669761549326657      # softmax of logits [1/sqrt(2), 0]
-TWO_HEAD_ROW = (0.7310585786300049, 0.2689414213699951)  # softmax of logits [1, 0]
-
-
-def test_intra_head_rows_stochastic():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        q = Tensor(rng.standard_normal((6, 4)))
-        k = Tensor(rng.standard_normal((6, 4)))
-        s = intra_head_correlation(q, k)
-        assert s.shape == (6, 6)
-        assert np.all(np.abs(s.data.sum(-1) - 1.0) <= 1e-6)
-        assert np.all(s.data >= 0)
-
-
-def test_inter_head_rows_stochastic():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        vt = Tensor(np.stack([rng.standard_normal((5, 3)) for _ in range(4)], axis=1))
-        a = head_affinity(vt)
-        assert a.shape == (5, 4, 4)
-        assert np.all(np.abs(a.data.sum(-1) - 1.0) <= 1e-6)
-
-
-def test_single_pair_correlation_value():
-    # two keys, d' = 2: logits are 1/sqrt(2) and 0 after scaling
-    q = Tensor(np.array([[1.0, 0.0]]))
-    k = Tensor(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    s = intra_head_correlation(q, k)
-    assert abs(s.data[0, 0] - SINGLE_PAIR_WEIGHT) <= 1e-4
-    assert abs(s.data[0, 1] - (1.0 - SINGLE_PAIR_WEIGHT)) <= 1e-4
-
-
-def test_two_head_correlation_value():
-    # orthonormal heads: self dot 1, cross dot 0, unscaled logits
-    v1 = np.array([[1.0, 0.0]])
-    v2 = np.array([[0.0, 1.0]])
-    a = head_affinity(Tensor(np.stack([v1, v2], axis=1)))
-    assert abs(a.data[0, 0, 0] - TWO_HEAD_ROW[0]) <= 1e-4
-    assert abs(a.data[0, 0, 1] - TWO_HEAD_ROW[1]) <= 1e-4
-    assert abs(a.data[0, 1, 1] - TWO_HEAD_ROW[0]) <= 1e-4
-
-
-def test_renew_values_weighted_combination():
-    s = Tensor(np.array([[0.25, 0.75], [1.0, 0.0]]))
-    v = Tensor(np.array([[2.0, 0.0], [0.0, 4.0]]))
-    out = renew_values(s, v)
-    assert np.allclose(out.data, [[0.5, 3.0], [2.0, 0.0]])
-
-
-def test_single_head_mixing_doubles():
-    # with one head the correlation matrix is exactly 1, so u = 2 vhat
-    rng = np.random.default_rng(2)
-    v = Tensor(rng.standard_normal((7, 1, 3)))
-    a = head_affinity(v)
-    assert np.array_equal(a.data, np.ones((7, 1, 1)))
-    assert np.array_equal(remix_heads(v, a).data, 2.0 * v.data)
 
 
 def test_equal_heads_mixing():
@@ -78,7 +18,7 @@ def test_equal_heads_mixing():
     base = rng.standard_normal((4, 5))
     for m in (2, 3, 4):
         vt = Tensor(np.stack([base] * m, axis=1))
-        u = remix_heads(vt, head_affinity(vt))
+        u = remix_heads(vt)
         assert np.allclose(u.data, (m + 1) * vt.data, atol=1e-10)
 
 

@@ -132,6 +132,29 @@ def test_zero_weighted_terms_stay_off_the_tape(tmp_path, monkeypatch, alpha, lam
     assert row["loss_c"] == f"{want:.8f}"
 
 
+def test_train_step_calls_every_primitive(tmp_path, monkeypatch):
+    # a primitive that one f64 train step with both loss terms never calls has
+    # no caller left, and goes
+    data, out = gen(tmp_path, samples=1)
+    recording = sorted(name for name, fn in vars(T).items()
+                       if "_record" in getattr(getattr(fn, "__code__", None), "co_names", ()))
+    called = set()
+
+    def counted(name, fn):
+        def primitive(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return primitive
+
+    for name in recording:
+        monkeypatch.setattr(T, name, counted(name, getattr(T, name)))
+    assert run(["--set", f"data_dir={data}", "--set", "steps=1", "--set", "batch_size=1",
+                "--set", "precision=f64", "--set", "alpha=0.95", "--set", "lam=0.5",
+                "--out", str(out), "--seed", "0", "train"]) == 0
+    assert "attend" in recording and "conv2d" in recording
+    assert not set(recording) - called, f"no train step calls {sorted(set(recording) - called)}"
+
+
 def test_eval_report(tmp_path):
     data, out = gen(tmp_path)
     run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"])
@@ -342,6 +365,28 @@ def test_gen_data_ellipses_min_out_of_range_is_one_line_error(tmp_path, capsys, 
     assert not data.exists()
     # with ellipses_max = 0 a phantom has no ellipses, whatever ellipses_min says
     assert run([*args, "--set", "ellipses_min=9", "--set", "ellipses_max=0", "gen-data"]) == 0
+
+
+@pytest.mark.parametrize("setting", ["noise_sigma=inf", "blur_sigma=nan", "lr=nan", "alpha=-inf"])
+def test_non_finite_config_value_is_one_line_error(tmp_path, capsys, setting):
+    # rejected as the configuration loads: gen-data writes no sample, train no run
+    data, _ = gen(tmp_path, samples=1)
+    fresh, out = tmp_path / "fresh", tmp_path / "run"
+    needle = f"{setting.split('=')[0]} must be finite"
+    assert_one_line_error(capsys, ["--set", f"data_dir={fresh}", "--set", setting, "--out", str(out),
+                                   "gen-data"], needle)
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--set", setting, "--out", str(out),
+                                   "train"], needle)
+    assert not fresh.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("key", ["blur_sigma", "noise_sigma"])
+def test_gen_data_negative_sigma_is_one_line_error(tmp_path, capsys, key):
+    data = tmp_path / "data"
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--set", "samples=1", "--set", "side=24",
+                                   "--set", f"{key}=-1", "--out", str(tmp_path / "out"), "gen-data"],
+                          f"{key} must be at least 0, got -1.0")
+    assert not data.exists()
 
 
 def test_failing_eval_and_infer_leave_the_run_config_echo(tmp_path, capsys):

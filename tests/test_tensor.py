@@ -134,45 +134,55 @@ def test_einsum_with_batch_ellipsis():
         finite_diff_check(loss, [(name, t)], 5, rng, tol=1e-5)
 
 
-def test_matmul():
-    rng = np.random.default_rng(9)
-    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-    assert np.allclose(T.matmul(a, b).data, a.data @ b.data)
-    for name, t in (("a", a), ("b", b)):
-        finite_diff_check(lambda: T.tsum(T.square(T.matmul(a, b))), [(name, t)], 5, rng, tol=1e-5)
-
-
-def test_matmul_broadcasts_head_weights_over_tokens():
-    # a per-head weight [M, D, e] against tokens [.., 1, N, D] gives [.., M, N, e]
-    rng = np.random.default_rng(8)
-    tok = Tensor(rng.standard_normal((6, 1, 4, 3)), requires_grad=True)
-    w = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
-    out = T.matmul(tok, w)
-    assert out.shape == (6, 2, 4, 5)
-    assert np.allclose(out.data, np.einsum("bnd,mde->bmne", tok.data[:, 0], w.data))
-    def loss():
-        return T.tsum(T.square(T.matmul(tok, w)))
-    assert grad_of(loss, w).shape == (2, 3, 5)
-    assert grad_of(loss, tok).shape == (6, 1, 4, 3)
-    for name, t in (("tok", tok), ("w", w)):
-        finite_diff_check(loss, [(name, t)], 5, rng, tol=1e-5)
-
-
-def test_matmul_shape_errors():
-    with pytest.raises(ShapeError):
-        T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
-    with pytest.raises(ShapeError):
-        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
-    with pytest.raises(ShapeError):
-        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-
-
 def test_softmax_rows_shift_and_overflow():
-    rng = np.random.default_rng(10)
-    check_softmax_properties(rng)
-    xt = Tensor(rng.standard_normal((6, 7)), requires_grad=True)
-    finite_diff_check(lambda: T.tsum(T.square(T.softmax(xt, -1))), [("xt", xt)], 5, rng, tol=1e-5)
+    check_softmax_properties(np.random.default_rng(10))
+
+
+def attend_oracle(q, k, v, g):
+    """softmax(q k^T) v and its q, k, v gradients against upstream g, in f64.
+
+    The softmax Jacobian is written out per row, diag(p) - p p^T.
+    """
+    logits = np.einsum("...ne,...me->...nm", q, k)
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    jac = np.einsum("...ij,jk->...ijk", p, np.eye(p.shape[-1])) - p[..., :, None] * p[..., None, :]
+    dlogits = np.einsum("...ijk,...ik->...ij", jac, np.einsum("...nf,...mf->...nm", g, v))
+    return (np.einsum("...nm,...mf->...nf", p, v), np.einsum("...nm,...me->...ne", dlogits, k),
+            np.einsum("...nm,...ne->...me", dlogits, q), np.einsum("...nm,...nf->...mf", p, g))
+
+
+@given(lead=st.sampled_from([(), (2,), (3, 2)]), n=st.integers(1, 6), n_k=st.integers(1, 6),
+       e=st.integers(1, 5), f=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_attend_matches_numpy_oracle(lead, n, n_k, e, f, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(lead + (n, e))
+    k = rng.standard_normal(lead + (n_k, e))
+    v = rng.standard_normal(lead + (n_k, f))
+    g = rng.standard_normal(lead + (n, f))
+    # the last query's logits sit near 1000, where an exp taken before the max would overflow
+    q[..., -1, 0] = 1000.0
+    k[..., 0] = 1.0 + 1e-3 * k[..., 0]
+    tq, tk, tv = (Tensor(a, requires_grad=True) for a in (q, k, v))
+    with Tape() as tape:
+        out = T.attend(tq, tk, tv)
+        loss = T.tsum(out * g)
+    grads = backward(loss, tape)
+    for name, got, want in zip(("out", "dq", "dk", "dv"),
+                               (out.data, grads[tq], grads[tk], grads[tv]),
+                               attend_oracle(q, k, v, g)):
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), name
+    misfits = [
+        (lead + (n, e + 1), lead + (n_k, e), lead + (n_k, f)),                  # q and k widths
+        (lead + (n, e), lead + (n_k + 1, e), lead + (n_k, f)),                  # k and v tokens
+        ((4,) + lead + (n, e), (1,) + lead + (n_k, e), (1,) + lead + (n_k, f)),  # leading axes
+        ((2,) + lead + (n, e), lead + (n_k, e), lead + (n_k, f)),               # ranks
+        ((e,), (e,), (f,)),                                                     # rank below 2
+    ]
+    for shapes in misfits:
+        with pytest.raises(ShapeError):
+            T.attend(*(Tensor(np.zeros(shape)) for shape in shapes))
 
 
 def test_layer_norm_moments_and_gradients():
