@@ -41,7 +41,7 @@ class RunConfig:
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _POSITIVE = ("r", "batch_size", "lr_halve_epochs", "samples", "side")
-_NON_NEGATIVE = ("epochs", "steps", "blur_sigma", "noise_sigma")
+_NON_NEGATIVE = ("epochs", "steps", "blur_sigma", "noise_sigma", "lr", "weight_decay", "lam")
 
 
 def _coerce(key, raw):
@@ -80,4 +80,6 @@ def load_config(path=None, overrides=()):
     for key in _NON_NEGATIVE:
         if values[key] < 0:
             raise ConfigError(f"{key} must be at least 0, got {values[key]}")
+    if not 0 <= values["alpha"] <= 1:
+        raise ConfigError(f"alpha must lie in [0, 1], got {values['alpha']}")
     return RunConfig(**values)

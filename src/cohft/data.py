@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import chft
-from .losses import gradient_map
+from .losses import gaussian_taps, gradient_map
 from .resample import degrade
-from .tensor import Tensor
+from .tensor import Tensor, separable_blur
 
 FIELDS = ("t2_lr", "t2_lr_grad", "t1_hr_grad", "t2_hr")
 
@@ -43,11 +43,15 @@ def _grad(img2d):
     return gradient_map(Tensor(img2d[:, :, None].astype(np.float64))).data
 
 
+def _gaussian_blur(img2d, sigma):
+    """Gaussian blur of radius int(4 sigma + 0.5) over a mirror-padded border (edge sample repeated)."""
+    r = int(4 * sigma + 0.5)
+    padded = np.pad(img2d, r, mode="symmetric")[:, :, None]
+    return separable_blur(Tensor(padded), gaussian_taps(2 * r + 1, sigma)).data[:, :, 0]
+
+
 def synth_phantom(spec: PhantomSpec):
     """Deterministic per-seed (t1_hr, t2_hr) pair with shared geometry, [side, side] in [0, 1]."""
-    # imported here so that train, eval and infer do not pay for scipy.ndimage
-    from scipy.ndimage import gaussian_filter
-
     rng = np.random.default_rng(spec.seed)
     s = spec.side
     n = int(rng.integers(spec.ellipses_min, spec.ellipses_max + 1)) if spec.ellipses_max > 0 else 0
@@ -66,7 +70,7 @@ def synth_phantom(spec: PhantomSpec):
         lut = 0.1 + 0.8 * rng.permutation(n + 1) / max(n, 1)
         img = lut[labels]
         if spec.blur_sigma > 0:
-            img = gaussian_filter(img, spec.blur_sigma, mode="reflect")
+            img = _gaussian_blur(img, spec.blur_sigma)
         if spec.noise_sigma > 0:
             img = img + rng.normal(0.0, spec.noise_sigma, img.shape)
         images.append(np.clip(img, 0.0, 1.0))

@@ -420,13 +420,18 @@ def rearrange(x, split, perm, shape):
 
     ``split`` gives each trailing axis the extents it splits into, ``perm``
     orders the split axes and ``shape`` is the trailing result; leading axes
-    ride along.  The backward runs the inverse and holds only shapes.
+    ride along.  The backward runs the inverse and holds only shapes.  A
+    permutation that moves only unit axes keeps the data in order: that is a
+    ``reshape``, which records nothing when the shape does not change.
     """
     src = x.data.shape
     nb = len(src) - len(split)
     if nb < 0 or any(math.prod(parts) != n for parts, n in zip(split, src[nb:])):
         raise ShapeError(f"rearrange: {src} does not split into {split}")
     lead, flat = src[:nb], tuple(n for parts in split for n in parts)
+    order = [i for i in perm if flat[i] != 1]
+    if order == sorted(order):
+        return reshape(x, lead + tuple(shape))
     axes = tuple(range(nb)) + tuple(nb + i for i in perm)
     moved, inv = lead + tuple(flat[i] for i in perm), tuple(np.argsort(axes))
     out = x.data.reshape(lead + flat).transpose(axes).reshape(lead + tuple(shape))

@@ -1,8 +1,10 @@
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
 from cohft.checks import check_datagen_determinism
-from cohft.data import (FIELDS, PhantomSpec, TrainingPair, generate_dataset, load_pair,
-                        make_pair, read_manifest, save_pair, synth_phantom, write_manifest)
+from cohft.data import (FIELDS, PhantomSpec, TrainingPair, _gaussian_blur, generate_dataset,
+                        load_pair, make_pair, read_manifest, save_pair, synth_phantom,
+                        write_manifest)
 from cohft.losses import gradient_map
 from cohft.resample import degrade
 from cohft.tensor import Tensor
@@ -10,6 +12,20 @@ from cohft.tensor import Tensor
 
 def test_per_seed_determinism():
     check_datagen_determinism(None)  # the phantom seed is fixed inside the check
+
+
+def test_phantom_blur_matches_gaussian_filter():
+    rng = np.random.default_rng(21)
+    cases = [(rng.random((96, 96)), 1.5) for _ in range(5)]
+    cases += [(rng.random((30, 17)), 1.5),
+              (rng.random((4, 4)), 5.0), (rng.random((6, 6)), 7.3)]  # radius 20 and 29 > side
+    for img, sigma in cases:
+        np.testing.assert_allclose(_gaussian_blur(img, sigma),
+                                   gaussian_filter(img, sigma, mode="reflect"), rtol=0, atol=1e-15)
+    # radius int(4 sigma + 0.5) = 0: one tap of weight 1 leaves the image as it is
+    img = rng.random((9, 9))
+    assert np.array_equal(_gaussian_blur(img, 0.1), gaussian_filter(img, 0.1, mode="reflect"))
+    assert np.array_equal(_gaussian_blur(img, 0.1), img)
 
 
 def test_different_seeds_differ():

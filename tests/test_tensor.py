@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohft import tensor as T
+from cohft.attention import AttentionConfig, init_attention_weights, tokenize
 from cohft.checks import (check_erf_matches_math_erf, check_separable_blur_matches_conv2d,
                           check_softmax_properties, check_tape_contract, finite_diff_check)
 from cohft.tensor import ShapeError, Tape, TapeError, Tensor, backward
@@ -511,6 +512,15 @@ def test_each_layout_records_one_rearrange_node():
         with Tape() as tape:
             fn()
         assert [node.op for node in tape.nodes] == ["rearrange"], name
+    # a layout that moves only unit axes keeps the data in order: a reshape, or no node at all
+    with Tape() as tape:
+        T.unfold(x, 1)
+    assert [node.op for node in tape.nodes] == ["reshape"]
+    cfg = AttentionConfig(d=4, M=2, p=1, rho=1)
+    emb = init_attention_weights(cfg, np.random.default_rng(0)).embed1
+    with Tape() as tape:
+        tokenize(x, emb, 1, 1)
+    assert "rearrange" not in [node.op for node in tape.nodes]
 
 
 def test_forward_diff():
