@@ -1,6 +1,10 @@
 import ast
 import csv
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +433,44 @@ def test_empty_manifest_is_one_line_error(tmp_path, capsys, command):
     args = {"train": ["train"], "eval": ["eval", str(ckpt)]}[command]
     assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(tmp_path / "out"), *args],
                           "manifest.txt lists no samples")
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # importing the CLI loads no scipy.ndimage
+    src = str(Path(cohft.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, cohft.cli; print('scipy.ndimage' in sys.modules)"
+    run_ = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run_.returncode == 0, run_.stderr
+    assert run_.stdout.strip() == "False"
+
+
+def test_train_eval_infer_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency, so a process that generates data,
+    # trains, evaluates and infers ends with no scipy module loaded
+    src = str(Path(cohft.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    data, out = tmp_path / "data", tmp_path / "out"
+    code = textwrap.dedent("""
+        import sys
+        from cohft import cli
+        data, out = sys.argv[1:]
+        common = ["--set", f"data_dir={data}", "--out", out]
+        ckpt = f"{out}/checkpoint.chft"
+        sample = f"{data}/sample_00000"
+        assert cli.main(common + ["--set", "samples=2", "--set", "side=24", "--seed", "0", "gen-data"]) == 0
+        assert cli.main(common + ["--set", "steps=2", "--set", "batch_size=2", "train"]) == 0
+        assert cli.main(common + ["eval", ckpt]) == 0
+        assert cli.main(common + ["infer", ckpt, *(f"{sample}.{field}.chft"
+                                                   for field in ("t2_lr", "t2_lr_grad", "t1_hr_grad"))]) == 0
+        print(sorted(name for name in sys.modules if name.startswith("scipy")))
+    """)
+    runs = subprocess.run([sys.executable, "-c", code, str(data), str(out)],
+                          env=env, capture_output=True, text=True)
+    assert runs.returncode == 0, runs.stderr
+    assert runs.stdout.splitlines()[-1] == "[]", runs.stdout
 
 
 def test_no_module_imports_scipy():
