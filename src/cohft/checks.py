@@ -160,7 +160,10 @@ def check_tape_contract(rng):
     it, and so is the input of a leaky_relu, while the tape lives.  Node
     inputs are the producing nodes, a leaf standing for itself.  A second
     backward raises TapeError, and a tensor recorded on an earlier tape is a
-    leaf of the next one.
+    leaf of the next one.  Two independent losses on one tape back-propagate
+    in turn; the next record drops the nodes a backward consumed and those no
+    live tensor reaches, and a later loss that reaches a consumed node raises
+    TapeError rather than lose its gradient.
     """
     x = Tensor(rng.standard_normal((6, 6, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 3, 4, 4)), requires_grad=True)
@@ -197,6 +200,26 @@ def check_tape_contract(rng):
     grads = T.backward(again, later)
     assert list(grads) == [y] and np.array_equal(grads[y], np.full(y.shape, 3.0)), \
         "a tensor from an earlier tape is not a leaf of the next"
+
+    with T.Tape() as shared:
+        y = T.square(x)
+        first = T.tsum(y)
+        second = T.tsum(3.0 * x)
+        T.sqrt(T.square(b))  # its output is gone, so no loss can reach these nodes
+        grads = T.backward(first, shared)
+        assert np.array_equal(grads[x], 2.0 * x.data), "the first of two losses"
+        third = T.tsum(2.0 * y)
+    assert [n.op for n in shared.nodes] == ["mul", "sum", "mul", "sum"], \
+        "the tape kept a node that a backward consumed or that nothing can reach"
+    grads = T.backward(second, shared)
+    assert list(grads) == [x] and np.array_equal(grads[x], np.full(x.shape, 3.0)), \
+        "the second of two independent losses on one tape"
+    try:
+        T.backward(third, shared)
+    except T.TapeError:
+        pass
+    else:
+        raise AssertionError("a loss that reaches a consumed node did not raise TapeError")
 
 
 def check_erf_matches_math_erf(rng):

@@ -14,7 +14,7 @@ from . import tensor as T
 from .checks import run_all_checks
 from .config import ConfigError, RunConfig, load_config
 from .data import FIELDS, PhantomSpec, generate_dataset, load_field, load_pair, read_manifest
-from .losses import LossConfig, objective, psnr, ssim
+from .losses import LossConfig, batch_objective, objective, psnr, sample_terms, ssim
 from .model import (count_parameters, forward, init_model, load_state_arrays,
                     named_parameters, preset, state_arrays)
 from .optim import AdamW
@@ -58,11 +58,43 @@ def _forward(pair, state, mc):
     return i_out, r_out, Tensor(np.asarray(pair.t2_hr, dtype=i_out.data.dtype))
 
 
+class Diverged(ArithmeticError):
+    """A sample's loss was non-finite; args[0] is its id.  No gradient was taken from it."""
+
+
+def train_step(batch, state, mc, lcfg):
+    """One step over (sample id, pair) items: (summed parameter gradients, logged terms).
+
+    The gradients are those of the batch total (1/B) sum(L_in + lam L_c) and
+    the logged terms are batch_objective's (total, mean L_in, mean L_c), in
+    sample order.  Raises Diverged, naming the first sample visited whose
+    loss is non-finite, before its backward runs.
+    """
+    share = 1.0 / len(batch)
+    grads, li_terms, lc_terms = {}, [None] * len(batch), [None] * len(batch)
+    # Each sample's forward is followed at once by the backward of its share
+    # of the batch total, so the tape holds one sample's activations at a
+    # time.  Samples run last-first: one backward over the whole batch's tape
+    # sums each parameter's gradient in that order, last sample first, so the
+    # sums match it bit for bit.  The step keeps one tape, because the
+    # benchmark times a train step from Tape.__enter__.
+    with T.Tape() as tape:
+        for k in reversed(range(len(batch))):
+            sid, pair = batch[k]
+            total, li, lc = objective([_forward(pair, state, mc)], lcfg)
+            if not np.isfinite(total.item()):
+                raise Diverged(sid)
+            for param, g in T.backward(total * share, tape).items():
+                grads[param] = grads[param] + g if param in grads else g
+            li_terms[k], lc_terms[k] = Tensor(li.data), Tensor(lc.data)
+    return grads, batch_objective(li_terms, lc_terms, lcfg)
+
+
 def cmd_train(cfg: RunConfig):
     ids = read_manifest(cfg.data_dir)
-    pairs = [load_pair(cfg.data_dir, sid) for sid in ids]
+    pairs = [(sid, load_pair(cfg.data_dir, sid)) for sid in ids]
     mc, state = _model(cfg)
-    for pair in pairs:  # every sample, before --out is touched
+    for _, pair in pairs:  # every sample, before --out is touched
         mc.preflight(pair.t2_lr.shape, pair.t2_lr_grad.shape, pair.t1_hr_grad.shape,
                      pair.t2_hr.shape)
     out = _out_dir(cfg)
@@ -81,14 +113,12 @@ def cmd_train(cfg: RunConfig):
             order = rng.permutation(len(pairs))
             for start in range(0, len(order), cfg.batch_size):
                 batch = [pairs[i] for i in order[start:start + cfg.batch_size]]
-                with T.Tape() as tape:
-                    # a generator: each sample's loss follows its own forward
-                    total, li_mean, lc_mean = objective(
-                        (_forward(pair, state, mc) for pair in batch), lcfg)
-                if not np.isfinite(total.item()):
-                    print(f"training diverged: non-finite loss at step {step + 1}", file=sys.stderr)
+                try:
+                    grads, (total, li_mean, lc_mean) = train_step(batch, state, mc, lcfg)
+                except Diverged as exc:
+                    print(f"training diverged: non-finite loss at step {step + 1} in {exc}",
+                          file=sys.stderr)
                     return 1
-                grads = T.backward(total, tape)
                 opt.step(grads)
                 step += 1
                 log.writerow([step, f"{total.item():.8f}",
@@ -120,8 +150,10 @@ def cmd_eval(cfg: RunConfig, checkpoint):
     for sid in ids:
         pair = load_pair(cfg.data_dir, sid)
         i_out, r_out, gt = _forward(pair, state, mc)
-        _, li, lc = objective([(i_out, r_out, gt)], lcfg)
-        total = li.item() + cfg.lam * lc.item()  # summed at f64 whatever the precision
+        li, lc = sample_terms(i_out, r_out, gt, lcfg)
+        # summed at f64 whatever the precision
+        total = batch_objective([Tensor(li.data, dtype=np.float64)],
+                                [Tensor(lc.data, dtype=np.float64)], lcfg)[0].item()
         up = bicubic_upsample(pair.t2_lr[:, :, 0].astype(np.float64), cfg.r)[:, :, None]
         rows.append([
             sid,

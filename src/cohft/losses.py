@@ -1,11 +1,12 @@
 """Gradient-map operator, SSIM/PSNR metrics, and the training objective.
 
 Both loss terms have the form alpha * MSE - (1 - alpha) * SSIM.  objective,
-the one objective that train, eval and the checks run, averages them over a
-batch, adds the gradient-domain term with weight lam, and keeps a term of
-weight exactly 0 off the tape (alpha == 1 drops SSIM, lam == 0 detaches the
-gradient stream).  Everything here is built from the differentiable
-primitives, so losses can sit at the end of a recorded tape.
+the one objective that train, eval and the checks run, is two pieces:
+sample_terms takes both terms of one sample and keeps a term of weight
+exactly 0 off the tape (alpha == 1 drops SSIM, lam == 0 detaches the
+gradient stream); batch_objective averages the terms over a batch and adds
+the gradient-domain term with weight lam.  Everything here is built from the
+differentiable primitives, so losses can sit at the end of a recorded tape.
 """
 from __future__ import annotations
 
@@ -106,25 +107,38 @@ def loss_c(r_out, r_gt, cfg: LossConfig = LossConfig()):
 
 
 def _mean(terms):
-    """Batch mean, summed in sample order."""
+    """Batch mean, summed in sample order; one term is its own mean (x * 1.0 is x)."""
+    if len(terms) == 1:
+        return terms[0]
     return (1.0 / len(terms)) * sum(terms[1:], terms[0])
 
 
-def objective(samples, cfg: LossConfig = LossConfig()):
-    """(total, mean L_in, mean L_c) over (i_out, r_out, i_gt) samples, in sample order.
+def sample_terms(i_out, r_out, i_gt, cfg: LossConfig = LossConfig()):
+    """(L_in, L_c) of one sample, L_c against the gradient map of i_gt.
 
-    total = mean L_in + lam * mean L_c, the gradient target derived from each
-    I_gt.  At lam == 0, L_c is taken from the detached r_out: weighted by
-    exactly 0 it would only add zeros to the gradient, so it records no tape
-    node and serves the log alone.
+    At lam == 0, L_c is taken from the detached r_out: weighted by exactly 0
+    it would only add zeros to the gradient, so it records no tape node and
+    serves the log alone.
     """
-    li_terms, lc_terms = [], []
-    for i_out, r_out, i_gt in samples:
-        if i_gt.shape != i_out.shape:
-            raise ShapeError(f"ground truth extents {i_gt.shape} do not match "
-                             f"the output's {i_out.shape}")
-        li_terms.append(loss_in(i_out, i_gt, cfg))
-        r_gt = gradient_map(i_gt, cfg.epsilon_grad)
-        lc_terms.append(loss_c(r_out if cfg.lam else Tensor(r_out.data), r_gt, cfg))
+    if i_gt.shape != i_out.shape:
+        raise ShapeError(f"ground truth extents {i_gt.shape} do not match "
+                         f"the output's {i_out.shape}")
+    li = loss_in(i_out, i_gt, cfg)
+    r_gt = gradient_map(i_gt, cfg.epsilon_grad)
+    return li, loss_c(r_out if cfg.lam else Tensor(r_out.data), r_gt, cfg)
+
+
+def batch_objective(li_terms, lc_terms, cfg: LossConfig = LossConfig()):
+    """(total, mean L_in, mean L_c) of per-sample terms: total = mean L_in + lam * mean L_c."""
     li_mean, lc_mean = _mean(li_terms), _mean(lc_terms)
     return li_mean + cfg.lam * lc_mean, li_mean, lc_mean
+
+
+def objective(samples, cfg: LossConfig = LossConfig()):
+    """batch_objective of the sample_terms of (i_out, r_out, i_gt) samples, in sample order."""
+    li_terms, lc_terms = [], []
+    for sample in samples:
+        li, lc = sample_terms(*sample, cfg)
+        li_terms.append(li)
+        lc_terms.append(lc)
+    return batch_objective(li_terms, lc_terms, cfg)

@@ -11,9 +11,11 @@ tensor, or a tensor recorded on an earlier tape, stands for itself), holds its
 output only weakly, and its backward closure captures only the arrays its
 gradient formula reads.  So a forward intermediate that no formula reads, such
 as a residual term or a pre-activation conv output, is freed as soon as the
-forward drops it.  ``backward`` consumes the tape: it clears each node's
-closure once called, and a second ``backward`` over the same tape raises
-``TapeError``.
+forward drops it.  ``backward`` consumes what its loss reaches: it clears
+each node's closure once called, the tape's next record drops those nodes,
+and a later ``backward`` that reaches one of them raises ``TapeError``.  So
+one tape can serve several losses in turn: when each is recorded after the
+last backward, no backward walks a node an earlier one consumed.
 """
 from __future__ import annotations
 
@@ -115,13 +117,31 @@ class Node:
 
 
 class Tape:
-    """Ordered record of primitive applications."""
+    """Ordered record of primitive applications.
+
+    After a ``backward``, ``nodes`` still lists what it walked until the next
+    record (the benchmark's tracer counts them there).  That record first
+    drops the nodes the backward consumed, and every node no later loss can
+    reach: its output is gone and no node that stays reads it.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
         # nodes carry the serial, not the tape, so that no node -> tape cycle
         # delays freeing until the garbage collector runs
         self.serial = next(_TAPE_SERIALS)
+        self.spent = False  # a backward ran since the last record
+
+    def record(self, node):
+        if self.spent:
+            kept, reach = [], set()
+            for old in reversed(self.nodes):
+                if old.backward_fn is not None and (old in reach or old.out is not None):
+                    kept.append(old)
+                    reach.update(old.inputs)
+            self.nodes[:] = kept[::-1]
+            self.spent = False
+        self.nodes.append(node)
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -148,7 +168,7 @@ def _record(op, out_data, inputs, backward_fn):
         links = tuple(t.node if t.node is not None and t.node.tape_serial == serial else t
                       for t in inputs)
         out.node = Node(op, links, out, backward_fn, serial)
-        tape.nodes.append(out.node)
+        tape.record(out.node)
     return out
 
 
@@ -156,14 +176,17 @@ def backward(loss, tape):
     """Adjoint pass: gradients of a scalar tape output w.r.t. requires_grad leaves.
 
     Visits nodes in strict reverse recording order (reverse topological order by
-    construction) and consumes them: each backward closure is dropped once
-    called.  Returns {leaf Tensor: gradient array}.
+    construction) and consumes those the loss reaches: each backward closure
+    is dropped once called, and the tape's next record drops the node.  A
+    loss that reaches a consumed node raises ``TapeError``, so no gradient is
+    lost.  Returns {leaf Tensor: gradient array}.
     """
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
     if loss.node is None or loss.node.tape_serial != tape.serial:
         raise TapeError("loss tensor was not produced on this tape")
 
+    tape.spent = True
     # keyed by node, or by leaf tensor; every node key is popped on its visit
     grads = {loss.node: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
@@ -180,6 +203,8 @@ def backward(loss, tape):
                 grads[src] = grads[src] + ig
             else:
                 grads[src] = ig
+    if any(isinstance(key, Node) for key in grads):  # left the tape when it was consumed
+        raise TapeError("backward reached a node an earlier backward over this tape consumed")
     return grads
 
 

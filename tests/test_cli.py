@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ import cohft
 from cohft import chft, cli
 from cohft import tensor as T
 from cohft.data import PhantomSpec, load_pair, make_pair, read_manifest, save_pair, write_manifest
-from cohft.losses import LossConfig, gradient_map, loss_c, ssim
-from cohft.model import init_model, preset, state_arrays
+from cohft.losses import LossConfig, gradient_map, loss_c, objective, ssim
+from cohft.model import init_model, named_parameters, preset, state_arrays
 from cohft.resample import bicubic_upsample
 from cohft.tensor import Tensor
 
@@ -197,18 +198,65 @@ def test_infer_safe_start_equals_bicubic(tmp_path):
 
 
 def test_divergence_guard(tmp_path, monkeypatch, capsys):
-    data, out = gen(tmp_path)
+    data, out = gen(tmp_path, samples=3)
+    bad = load_pair(data, "sample_00001").t2_lr
+    forward, backward = cli.forward, T.backward
+    losses = []
 
-    forward = cli.forward
+    def poisoned(i_in, *args):
+        i_out, r_out = forward(i_in, *args)
+        return (i_out * np.nan if np.array_equal(i_in, bad) else i_out), r_out
 
-    def poisoned(*args):
-        i_out, r_out = forward(*args)
-        return i_out * np.nan, r_out
+    def keep_loss(loss, tape):
+        losses.append(loss.item())
+        return backward(loss, tape)
 
     monkeypatch.setattr(cli, "forward", poisoned)
+    monkeypatch.setattr(T, "backward", keep_loss)
     rc = run(["--set", f"data_dir={data}", "--set", "steps=1", "--out", str(out), "train"])
     assert rc == 1
-    assert "diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "diverged" in err and "sample_00001" in err, err
+    assert all(np.isfinite(losses)), "the poisoned sample's backward ran"
+    assert (out / "train_log.csv").read_text().splitlines() == ["step,total,loss_in,loss_c"]
+    assert not (out / "checkpoint.chft").exists()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("alpha,lam", [(0.95, 0.5), (1.0, 0.0)])
+def test_train_step_gradients_equal_one_batch_tape(tmp_path, dtype, alpha, lam):
+    # per-sample backwards, last sample first, sum to the batch tape's gradients bit for bit
+    data, _ = gen(tmp_path, samples=3)
+    batch = [(sid, load_pair(data, sid)) for sid in read_manifest(data)]
+    mc = preset("tiny")
+    state = init_model(mc, seed=3, dtype=dtype, safe_start=False)
+    lcfg = LossConfig(alpha=alpha, lam=lam)
+    grads, logged = cli.train_step(batch, state, mc, lcfg)
+    with T.Tape() as tape:
+        want = objective((cli._forward(pair, state, mc) for _, pair in batch), lcfg)
+    want_grads = T.backward(want[0], tape)
+    assert set(grads) == set(want_grads)
+    for name, t in named_parameters(state):
+        if t in want_grads:
+            assert np.array_equal(grads[t], want_grads[t]), name
+    assert all(got.data.tobytes() == w.data.tobytes() for got, w in zip(logged, want))
+
+
+def test_train_step_memory_does_not_grow_with_batch(tmp_path):
+    # the tape holds one sample's activations at a time
+    data, _ = gen(tmp_path, samples=4, side=48)
+    peaks = {}
+    for batch_size in (1, 4):
+        tracemalloc.start()
+        try:
+            rc = run(["--set", f"data_dir={data}", "--set", "steps=1",
+                      "--set", f"batch_size={batch_size}",
+                      "--out", str(tmp_path / f"out{batch_size}"), "train"])
+            peaks[batch_size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+    assert peaks[4] < 1.5 * peaks[1], peaks
 
 
 def test_check_command_passes(tmp_path, capsys):
