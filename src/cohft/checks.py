@@ -151,6 +151,14 @@ def check_primitive_gradients(rng):
     wa = Tensor(rng.standard_normal((2, 3, 2)))
     for name, t in (("q", q), ("k", k), ("v", va)):
         finite_diff_check(lambda: T.tsum(T.attend(q * 0.5, k, va) * wa), [(name, t)], 4, rng, tol=1e-5)
+    # conv2d on a map that spans two strips at the default strip budget (33 rows,
+    # then 32), so the halo rows and the shorter last strip are checked too
+    xs = Tensor(rng.standard_normal((65, 62, 8)), requires_grad=True)
+    ws = Tensor(rng.standard_normal((3, 3, 8, 4)), requires_grad=True)
+    strips, _ = T._strips(1, 65, 3, (62 + 2) * (8 + 4) * xs.data.itemsize)
+    assert len(strips) == 2, f"the strip case spans {len(strips)} strips"
+    finite_diff_check(lambda: T.tsum(T.square(T.conv2d(xs, ws, b))), [("x", xs), ("w", ws), ("b", b)],
+                      4, rng, tol=1e-5)
 
 
 def check_tape_contract(rng):

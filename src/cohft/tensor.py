@@ -394,7 +394,12 @@ def leaky_relu(a):
     keep = ad >= 0
 
     def bw(g):
-        return (np.where(keep, g, LEAKY_SLOPE * g),)
+        # each entry's slope, exactly 1 or LEAKY_SLOPE in g's dtype, so one
+        # multiply is bit for bit the select np.where(keep, g, LEAKY_SLOPE * g)
+        slope = keep.astype(g.dtype)
+        slope *= 1 - LEAKY_SLOPE
+        slope += LEAKY_SLOPE
+        return (g * slope,)
 
     return _record("leaky_relu", out, (a,), bw)
 
@@ -571,15 +576,103 @@ def layer_norm(a, gain, shift):
 # convolution
 
 
+# conv2d walks its output in strips whose padded input rows and accumulator
+# rows take at most this many bytes, so a strip stays in a core's L2 cache
+# (256 KiB-2 MiB on current x86) across its k*k tap GEMMs; with whole-map
+# buffers every tap streamed through memory (a 240x240, 16+8+8->16 conv took
+# 1.5x as long and allocated four times its output)
+_STRIP_BYTES = 1 << 18
+
+
+def _even(n, most):
+    """The part size that cuts n into the fewest parts of at most ``most``, the last no larger."""
+    return -(-n // -(-n // most))
+
+
+def _strips(m, h, k, row_bytes):
+    """Output strips (b0, b1, y0, y1) of a k x k conv over m maps of h rows, and
+    the padded rows of the largest (the first).
+
+    A strip holds as many padded rows of ``row_bytes`` as ``_STRIP_BYTES``
+    allows: an even run of whole images when one image fits, else an even
+    band of rows of one image (at least one row, plus k - 1 halo rows).
+    """
+    hp = h + k - 1
+    fit = _STRIP_BYTES // row_bytes
+    if fit >= hp:
+        step = _even(max(m, 1), fit // hp)
+        return [(b, min(b + step, m), 0, h) for b in range(0, m, step)], step * hp
+    step = _even(h, max(1, fit - (k - 1)))
+    return [(b, b + 1, y, min(y + step, h)) for b in range(m) for y in range(0, h, step)], step + k - 1
+
+
+def _padded_strips(arrays, spans, k, strips, rows):
+    """Each strip's padded input, flattened to [rows, c_in]: rows y0 - pad ..
+    y1 + pad of images b0 .. b1 of the channel pieces' join, with pad zero
+    columns on each side and zero rows outside the maps.
+
+    One buffer of ``rows`` padded rows serves every strip, so each array is
+    overwritten by the next.  With nothing to pad or join, the rows are read
+    in place.
+    """
+    h, w = arrays[0].shape[1:3]
+    c_in = spans[-1][1]
+    pad = (k - 1) // 2
+    if not pad and len(arrays) == 1:
+        for b0, b1, y0, y1 in strips:
+            yield arrays[0][b0:b1, y0:y1].reshape(-1, c_in)
+        return
+    # zeroed once: only map columns are written, so the pad columns stay zero
+    buf = np.zeros((rows, w + 2 * pad, c_in), dtype=np.result_type(*arrays))
+    for b0, b1, y0, y1 in strips:
+        xp = buf[:(b1 - b0) * (y1 - y0 + 2 * pad)].reshape((b1 - b0, -1) + buf.shape[1:])
+        lo, hi = max(y0 - pad, 0), min(y1 + pad, h)
+        top, bottom = lo - y0 + pad, hi - y0 + pad
+        if y1 - y0 < h:  # a band's halo rows off the map may hold an earlier band's rows
+            xp[:, :top] = 0
+            xp[:, bottom:] = 0
+        for a, (c0, c1) in zip(arrays, spans):
+            xp[:, top:bottom, pad:pad + w, c0:c1] = a[b0:b1, lo:hi]
+        yield xp.reshape(-1, c_in)
+
+
+def _tap_sum(xf, taps, strip, w, k, acc, part):
+    """One strip of a "same" correlation: the sum, in the order of ``taps``
+    [(i, j, matrix)], of the GEMMs of the padded strip rows ``xf`` shifted by
+    i*wp + j with each tap's matrix, accumulated in ``acc`` with ``part`` as
+    scratch.  Returns the strip's valid outputs, a view of ``acc``.
+
+    The strip's last (k - 1)(wp + 1) rows hold no valid output and are left out.
+    """
+    b0, b1, y0, y1 = strip
+    wp = w + k - 1
+    n = len(xf) - (k - 1) * (wp + 1)
+    for t, (i, j, wt) in enumerate(taps):
+        off = i * wp + j
+        if t:
+            np.matmul(xf[off:off + n], wt, out=part[:n])
+            acc[:n] += part[:n]
+        else:
+            np.matmul(xf[off:off + n], wt, out=acc[:n])
+    return acc[:len(xf)].reshape(b1 - b0, -1, wp, acc.shape[1])[:, :y1 - y0, :w]
+
+
 def conv2d(xs, weights, bias):
     """Stride-1 cross-correlation with "same" zero padding; channel-last [.., h, w, c_in].
 
     ``xs`` is a tensor or a sequence of channel pieces with equal [.., h, w],
     read as their channel concatenation: each piece is copied into its channel
-    slice of the padded input, and the backward returns one gradient per piece
-    (None where none is needed), so there is no concat primitive.  Weights are
-    [k, k, c_in, c_out] with odd k.  No patch matrix is kept: one GEMM per tap
-    on a row shift of the flattened padded input; the backward re-pads the pieces.
+    slice of each padded strip, and the backward returns one gradient per
+    piece (None where none is needed), so there is no concat primitive.
+    Weights are [k, k, c_in, c_out] with odd k.
+
+    No patch matrix and no whole-map buffer is made.  The output is computed
+    in strips of rows, runs of whole images or bands of one image's rows,
+    whose padded input and accumulator fit ``_STRIP_BYTES``: one GEMM per
+    kernel tap on a row shift of the padded strip.  The input gradient is the
+    same strip correlation of the output gradient with the flipped,
+    channel-swapped kernel; the kernel gradient sums per-tap GEMMs of the
+    padded input and gradient rows over the same strips.
     """
     pieces = (xs,) if isinstance(xs, Tensor) else tuple(xs)
     wd = weights.data
@@ -594,7 +687,7 @@ def conv2d(xs, weights, bias):
     lead, (h, w) = extents[:-2], extents[-2:]
     if not h or not w:  # "same" padding fits every other extent
         raise ShapeError(f"conv2d extents {h}x{w} are empty")
-    ends = np.cumsum([p.data.shape[-1] for p in pieces]).tolist()
+    ends = list(itertools.accumulate(p.data.shape[-1] for p in pieces))
     if ends[-1] != c_in:
         raise ShapeError(f"conv2d channel mismatch: input has {ends[-1]}, weights expect {c_in}")
     if bias.data.shape != (c_out,):
@@ -602,59 +695,63 @@ def conv2d(xs, weights, bias):
     spans = list(zip([0] + ends[:-1], ends))
     # no gradient for an operand that needs none, such as a raw input image
     need_x, need_w, need_b = [p.requires_grad for p in pieces], weights.requires_grad, bias.requires_grad
-    pad = (k - 1) // 2
-    hp, wp = h + 2 * pad, w + 2 * pad
-    # tap (i, j) reads the flattened padded rows shifted by i*wp + j; the
-    # last `reach` rows hold no valid output, which the crop discards
-    reach = (k - 1) * wp + k - 1
-    taps = [(i, j, i * wp + j) for i in range(k) for j in range(k)]
-
-    def padded_rows(arrays):
-        if len(arrays) == 1 and not pad:
-            return arrays[0].reshape(-1, c_in)
-        xp = np.zeros(lead + (hp, wp, c_in), dtype=np.result_type(*arrays))
-        for a, (c0, c1) in zip(arrays, spans):
-            xp[..., pad:pad + h, pad:pad + w, c0:c1] = a
-        return xp.reshape(-1, c_in)
-
-    arrays = [p.data for p in pieces]
-    xf = padded_rows(arrays)
-    rows = xf.shape[0]
-    n = rows - reach
-    acc = np.empty((rows, c_out), dtype=np.result_type(xf, wd))
-    for t, (i, j, off) in enumerate(taps):
-        if t:
-            acc[:n] += xf[off:off + n] @ wd[i, j]
-        else:
-            np.matmul(xf[:n], wd[i, j], out=acc[:n])
-    out = acc.reshape(lead + (hp, wp, c_out))[..., :h, :w, :] + bias.data
+    any_x = any(need_x)
+    # the lead axes fold into one image axis
+    arrays = [p.data.reshape((-1, h, w, p.data.shape[-1])) for p in pieces]
+    m = arrays[0].shape[0]
+    out = np.empty((m, h, w, c_out), dtype=np.result_type(*arrays, wd, bias.data))
+    wp = w + k - 1
+    # the forward, dx and dw strips hold the same c_in + c_out channels a row
+    strips, rows = _strips(m, h, k, wp * (c_in + c_out) * out.itemsize)
+    acc = np.empty((rows * wp, c_out), dtype=np.result_type(*arrays, wd))
+    part = np.empty_like(acc)
+    taps = [(i, j, wd[i, j]) for i in range(k) for j in range(k)]
+    for strip, xf in zip(strips, _padded_strips(arrays, spans, k, strips, rows)):
+        b0, b1, y0, y1 = strip
+        np.add(_tap_sum(xf, taps, strip, w, k, acc, part), bias.data, out=out[b0:b1, y0:y1])
     if not need_w:  # the pieces are read only for dw
         arrays = None
 
     def bw(g):
-        gz = g
-        if reach:
-            gz = np.zeros(lead + (hp, wp, c_out), dtype=g.dtype)
-            gz[..., :h, :w, :] = g
-        gf = gz.reshape(-1, c_out)[:n]
         dxs = [None] * len(spans)
         dw = db = None
-        if need_w:
-            xf = padded_rows(arrays)
-            dw = np.empty(wd.shape, dtype=np.result_type(xf, gf))
-            for i, j, off in taps:
-                dw[i, j] = xf[off:off + n].T @ gf
-        if any(need_x):
-            dxf = np.zeros((rows, c_in), dtype=g.dtype)
-            for i, j, off in taps:
-                dxf[off:off + n] += gf @ wd[i, j].T
-            dx = dxf.reshape(lead + (hp, wp, c_in))[..., pad:pad + h, pad:pad + w, :]
-            dxs = [dx[..., c0:c1] if need else None for need, (c0, c1) in zip(need_x, spans)]
         if need_b:
             db = g.sum(axis=tuple(range(g.ndim - 1)))
+        if not (need_w or any_x):
+            return (*dxs, dw, db)
+        gs = g.reshape(m, h, w, c_out)
+        gfs = _padded_strips([gs], [(0, c_out)], k, strips, rows)
+        xfs = _padded_strips(arrays, spans, k, strips, rows) if need_w else itertools.repeat(None)
+        if any_x:
+            dx = np.empty((m, h, w, c_in), dtype=g.dtype)
+            acc = np.empty((rows * wp, c_in), dtype=np.result_type(g, wd))
+            part = np.empty_like(acc)
+            # the flipped, channel-swapped kernel, its taps visited in reverse so
+            # they add up in the order of the forward's; contiguous, as BLAS runs
+            # these narrow GEMMs faster than on transposed views
+            wf = np.ascontiguousarray(wd[::-1, ::-1].swapaxes(2, 3))
+            flipped = [(i, j, wf[i, j]) for i in reversed(range(k)) for j in reversed(range(k))]
+        if need_w:
+            dw = np.zeros(wd.shape, dtype=np.result_type(*arrays, g))
+            # g's padded rows shifted by pad*wp + pad line up with the input rows
+            # of the forward's accumulator, its pad columns with no valid output
+            shift, n_off = (k - 1) // 2 * (wp + 1), (k - 1) * (wp + 1)
+        for strip, gf, xf in zip(strips, gfs, xfs):
+            b0, b1, y0, y1 = strip
+            if any_x:
+                dx[b0:b1, y0:y1] = _tap_sum(gf, flipped, strip, w, k, acc, part)
+            if need_w:
+                n = len(xf) - n_off
+                for i in range(k):
+                    for j in range(k):
+                        off = i * wp + j
+                        dw[i, j] += xf[off:off + n].T @ gf[shift:shift + n]
+        if any_x:
+            dx = dx.reshape(lead + (h, w, c_in))
+            dxs = [dx[..., c0:c1] if need else None for need, (c0, c1) in zip(need_x, spans)]
         return (*dxs, dw, db)
 
-    return _record("conv2d", out, (*pieces, weights, bias), bw)
+    return _record("conv2d", out.reshape(lead + (h, w, c_out)), (*pieces, weights, bias), bw)
 
 
 def separable_blur(x, taps):

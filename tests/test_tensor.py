@@ -1,8 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohft import tensor as T
@@ -89,6 +90,25 @@ def test_sigmoid_leaky_relu():
         assert gx.dtype == dtype
         # bit for bit the gradient of the f64 slope mask cast to the dtype
         assert np.array_equal(gx, g.astype(dtype) * np.where(xd >= 0, 1.0, 0.2).astype(dtype))
+
+
+def test_leaky_relu_backward_is_the_select_bit_for_bit():
+    # the backward multiplies by a slope of exactly 1 or LEAKY_SLOPE: the same
+    # bits as selecting g or LEAKY_SLOPE * g, signed zeros, infinities and NaN included
+    rng = np.random.default_rng(26)
+    g_vals = np.concatenate([rng.standard_normal(8),
+                             [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-40, 3e38]])
+    ad_vals = np.concatenate([rng.standard_normal(4), [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    g_grid, ad_grid = np.meshgrid(g_vals, ad_vals)
+    for dtype in (np.float64, np.float32):
+        g, ad = g_grid.astype(dtype), ad_grid.astype(dtype)
+        with Tape() as tape:
+            T.leaky_relu(Tensor(ad, requires_grad=True))
+        (gx,) = tape.nodes[-1].backward_fn(g)
+        want = np.where(ad >= 0, g, T.LEAKY_SLOPE * g)
+        assert gx.dtype == want.dtype == dtype
+        assert np.array_equal(gx, want, equal_nan=True)
+        assert np.array_equal(np.signbit(gx), np.signbit(want))
 
 
 def test_sum_mean_axes():
@@ -427,6 +447,90 @@ def test_conv2d_tape_keeps_no_patch_buffer(k):
     (node,) = tape.nodes
     held = [a for a in closure_arrays(node.backward_fn) if a is not w.data and a is not b.data]
     assert held and all(a.shape[-1] != c for a in held)
+
+
+# strip budgets, each a function of (h, padded width bytes of one row, halo rows)
+STRIP_BUDGETS = {
+    "1 row": lambda h, row, halo: 1,
+    "2 rows": lambda h, row, halo: (2 + halo) * row,
+    "3 rows": lambda h, row, halo: (3 + halo) * row,
+    "2 images": lambda h, row, halo: 2 * (h + halo) * row,
+}
+
+
+@settings(max_examples=60)
+@given(k=st.sampled_from([1, 3]), dtype=st.sampled_from([np.float32, np.float64]),
+       lead=st.sampled_from([(), (1,), (3,)]), widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       h=st.integers(1, 8), w=st.integers(1, 6), budget=st.sampled_from(sorted(STRIP_BUDGETS)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_conv2d_strips_property(k, dtype, lead, widths, h, w, budget, seed):
+    # conv2d with the strip budget cut to a few rows or images, so one call
+    # walks many strips, halo rows and uneven last strips included
+    rng = np.random.default_rng(seed)
+    c_in, c_out = sum(widths), 2
+    arrays = [rng.standard_normal(lead + (h, w, c)).astype(dtype) for c in widths]
+    wt = Tensor(rng.standard_normal((k, k, c_in, c_out)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.standard_normal(c_out).astype(dtype), requires_grad=True)
+    g = rng.standard_normal(lead + (h, w, c_out)).astype(dtype)
+    row = (w + k - 1) * (c_in + c_out) * np.dtype(dtype).itemsize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_STRIP_BYTES", STRIP_BUDGETS[budget](h, row, k - 1))
+        pieces = [Tensor(a, requires_grad=True) for a in arrays]
+        whole = Tensor(np.concatenate(arrays, axis=-1), requires_grad=True)
+        with Tape() as tape:
+            got = T.conv2d(pieces, wt, b)
+            want = T.conv2d(whole, wt, b)
+        *dxs, dw, db = tape.nodes[0].backward_fn(g)
+        dx_w, dw_w, db_w = tape.nodes[1].backward_fn(g)
+        # the values are the direct correlation's
+        xs = whole.data.reshape((-1, h, w, c_in)).astype(np.float64)
+        oracle = np.stack([conv_oracle(xi, wt.data.astype(np.float64), b.data.astype(np.float64))
+                           for xi in xs])
+        assert np.allclose(got.data.reshape(oracle.shape), oracle, rtol=0, atol=CONV_TOL[dtype])
+        # pieces are their join, bit for bit, values and gradients
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(dw, dw_w) and np.array_equal(db, db_w)
+        assert np.array_equal(np.concatenate(dxs, axis=-1), dx_w)
+        # a batch is its images one by one, bit for bit
+        for i, xi in enumerate(whole.data.reshape((-1, h, w, c_in))):
+            single = T.conv2d(Tensor(xi), wt, b).data
+            assert np.array_equal(single, got.data.reshape((-1, h, w, c_out))[i])
+        if dtype == np.float64:
+            def loss():
+                return T.tsum(T.square(T.conv2d(pieces, wt, b)))
+            params = [(f"x{i}", p) for i, p in enumerate(pieces)] + [("w", wt), ("b", b)]
+            finite_diff_check(loss, params, 6, rng, tol=1e-5)
+
+
+def test_conv2d_strips_cover_the_output_once():
+    # every output row lies in exactly one strip, whole images or a band of one
+    for m, h, k, row in itertools.product([1, 3, 7], [1, 5, 12], [1, 3, 11], [1, 7, 100, 5000, 10 ** 6]):
+        strips, rows = T._strips(m, h, k, row)
+        covered = np.zeros((m, h), dtype=int)
+        for b0, b1, y0, y1 in strips:
+            assert b0 < b1 and y0 < y1
+            assert (b1 - b0) * (y1 - y0 + k - 1) <= rows
+            assert b1 - b0 == 1 or (y0, y1) == (0, h)
+            covered[b0:b1, y0:y1] += 1
+        assert (covered == 1).all(), (m, h, k, row)
+        # within the budget, unless one row and its halo exceed it
+        assert rows * row <= max(T._STRIP_BYTES, k * row), (m, h, k, row)
+
+
+def test_conv2d_forward_memory_is_its_output_and_strips():
+    # the forward allocates its output and strip-sized buffers, no whole-map
+    # padded copy, accumulator or per-tap product (14.3 MiB here when it did)
+    rng = np.random.default_rng(25)
+    pieces = [Tensor(rng.standard_normal((240, 240, c)).astype(np.float32)) for c in (16, 8, 8)]
+    w = Tensor(rng.standard_normal((3, 3, 32, 16)).astype(np.float32))
+    b = Tensor(rng.standard_normal(16).astype(np.float32))
+    tracemalloc.start()
+    try:
+        out = T.conv2d(pieces, w, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.data.nbytes + 4 * T._STRIP_BYTES, peak
 
 
 @given(h=st.integers(11, 40), w=st.integers(11, 40), c=st.integers(1, 5),
