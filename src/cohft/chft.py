@@ -47,10 +47,12 @@ def _decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     dtype = _DTYPES[code]
     start = offset + 8 + 4 * ndim
     # exact: np.prod wraps around at 2^63 and can give 0 for huge extents
-    end = start + math.prod(shape) * dtype.itemsize
+    count = math.prod(shape)
+    end = start + count * dtype.itemsize
     if end > len(buf):
         raise FormatError("truncated payload")
-    arr = np.frombuffer(buf[start:end], dtype=dtype).reshape(shape)
+    # a view of buf; astype makes the one copy the caller owns
+    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=start).reshape(shape)
     return arr.astype(dtype.newbyteorder("=")), end
 
 

@@ -76,8 +76,8 @@ def train_step(batch, state, mc, lcfg):
     # of the batch total, so the tape holds one sample's activations at a
     # time.  Samples run last-first: one backward over the whole batch's tape
     # sums each parameter's gradient in that order, last sample first, so the
-    # sums match it bit for bit.  The step keeps one tape, because the
-    # benchmark times a train step from Tape.__enter__.
+    # sums, added in place into one set, match it bit for bit.  The step keeps
+    # one tape, because the benchmark times a train step from Tape.__enter__.
     with T.Tape() as tape:
         for k in reversed(range(len(batch))):
             sid, pair = batch[k]
@@ -85,7 +85,10 @@ def train_step(batch, state, mc, lcfg):
             if not np.isfinite(total.item()):
                 raise Diverged(sid)
             for param, g in T.backward(total * share, tape).items():
-                grads[param] = grads[param] + g if param in grads else g
+                if param in grads:
+                    np.add(grads[param], g, out=grads[param])
+                else:  # a copy: a closure may return one array for two inputs
+                    grads[param] = np.array(g, copy=True)
             li_terms[k], lc_terms[k] = Tensor(li.data), Tensor(lc.data)
     return grads, batch_objective(li_terms, lc_terms, lcfg)
 
@@ -120,6 +123,7 @@ def cmd_train(cfg: RunConfig):
                           file=sys.stderr)
                     return 1
                 opt.step(grads)
+                del grads  # the step's one gradient set dies before the next forward
                 step += 1
                 log.writerow([step, f"{total.item():.8f}",
                               f"{li_mean.item():.8f}", f"{lc_mean.item():.8f}"])

@@ -226,13 +226,15 @@ def state_arrays(state):
 
 
 def load_state_arrays(state, arrays: dict):
+    """Set each parameter to its entry; an entry of the parameter's dtype is
+    taken as is, not copied, so the state owns it from then on."""
     for name, t in named_parameters(state):
         if name not in arrays:
             raise FormatError(f"checkpoint is missing parameter {name!r}")
         arr = arrays[name]
         if arr.shape != t.data.shape:
             raise ShapeError(f"parameter {name!r}: checkpoint shape {arr.shape} != model {t.data.shape}")
-        t.data = arr.astype(t.data.dtype)
+        t.data = arr.astype(t.data.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

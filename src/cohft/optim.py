@@ -5,6 +5,12 @@ import numpy as np
 
 
 class AdamW:
+    """Adam with decoupled weight decay.
+
+    Each step reads one gradient set and updates the weights, m and v in
+    place, so it reallocates no parameter-sized array.
+    """
+
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-4):
         self.params = list(params)  # (name, Tensor)
         self.lr = lr
@@ -23,7 +29,14 @@ class AdamW:
         b2c = 1.0 - self.beta2 ** self.t
         for name, p in self.params:
             g = grads.get(p, 0.0)
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            m, v = self.m[name], self.v[name]
+            # the roundings of b1 m + (1 - b1) g and b2 v + (1 - b2) g g, in order
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
             update = (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            p.data = p.data - self.lr * update - self.lr * self.weight_decay * p.data
+            # p - lr update - (lr wd) p, with the decay read from p before the update
+            decay = (self.lr * self.weight_decay) * p.data
+            p.data -= self.lr * update
+            p.data -= decay

@@ -647,13 +647,16 @@ def _tap_sum(xf, taps, strip, w, k, acc, part):
     b0, b1, y0, y1 = strip
     wp = w + k - 1
     n = len(xf) - (k - 1) * (wp + 1)
+    # a one-column GEMM is one rounded product per entry: a broadcast multiply
+    # gives the same bits without BLAS's K = 1 path
+    product = np.multiply if xf.shape[1] == 1 else np.matmul
     for t, (i, j, wt) in enumerate(taps):
         off = i * wp + j
         if t:
-            np.matmul(xf[off:off + n], wt, out=part[:n])
+            product(xf[off:off + n], wt, out=part[:n])
             acc[:n] += part[:n]
         else:
-            np.matmul(xf[off:off + n], wt, out=acc[:n])
+            product(xf[off:off + n], wt, out=acc[:n])
     return acc[:len(xf)].reshape(b1 - b0, -1, wp, acc.shape[1])[:, :y1 - y0, :w]
 
 

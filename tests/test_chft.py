@@ -47,6 +47,8 @@ def test_container_roundtrip(tmp_path):
     for name, arr in entries:
         assert np.array_equal(out[name], arr)
         assert out[name].dtype == arr.dtype
+        # each entry owns its data, writable in place, and keeps no file buffer alive
+        assert out[name].base is None and out[name].flags.writeable
 
 
 def test_bad_magic(tmp_path):

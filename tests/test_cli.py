@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,30 @@ def test_train_step_gradients_equal_one_batch_tape(tmp_path, dtype, alpha, lam):
         if t in want_grads:
             assert np.array_equal(grads[t], want_grads[t]), name
     assert all(got.data.tobytes() == w.data.tobytes() for got, w in zip(logged, want))
+
+
+def test_train_drops_each_gradient_set_before_the_next_step(tmp_path, monkeypatch):
+    # the arrays AdamW.step reads are dead when the next step's tape opens
+    data, out = gen(tmp_path)
+    step, enter = cli.AdamW.step, T.Tape.__enter__
+    received, alive = [], []
+
+    def keep_weakrefs(opt, grads):
+        received.append([weakref.ref(g) for g in grads.values()])
+        return step(opt, grads)
+
+    def count_alive(tape):
+        if received:
+            alive.append(sum(ref() is not None for ref in received[-1]))
+        return enter(tape)
+
+    monkeypatch.setattr(cli.AdamW, "step", keep_weakrefs)
+    monkeypatch.setattr(T.Tape, "__enter__", count_alive)
+    rc = run(["--set", f"data_dir={data}", "--set", "steps=3", "--set", "batch_size=2",
+              "--out", str(out), "train"])
+    assert rc == 0
+    assert len(received) == 3 and all(received)
+    assert alive == [0, 0]
 
 
 def test_train_step_memory_does_not_grow_with_batch(tmp_path):

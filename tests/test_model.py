@@ -171,3 +171,19 @@ def test_adamw_decoupled_decay():
     opt = AdamW([("t", t)], lr=0.01, weight_decay=0.1)
     opt.step({})  # no gradient: pure decay step
     assert abs(t.data[0] - 2.0 * (1.0 - 0.01 * 0.1)) <= 1e-12
+
+
+def test_adamw_updates_in_place():
+    rng = np.random.default_rng(0)
+    t = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    idle = Tensor(rng.standard_normal(5), requires_grad=True)
+    opt = AdamW([("t", t), ("idle", idle)], lr=0.01, weight_decay=0.1)
+    held = [t.data, opt.m["t"], opt.v["t"], idle.data, opt.m["idle"], opt.v["idle"]]
+    start, want = t.data.copy(), idle.data.copy()
+    for _ in range(2):
+        opt.step({t: rng.standard_normal((3, 4))})
+        want = want - (0.01 * 0.1) * want  # no gradient: pure decay
+    now = [t.data, opt.m["t"], opt.v["t"], idle.data, opt.m["idle"], opt.v["idle"]]
+    assert all(a is b for a, b in zip(held, now))
+    assert not np.array_equal(t.data, start)
+    assert np.array_equal(idle.data, want)
