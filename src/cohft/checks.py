@@ -6,6 +6,7 @@ All checks run at 64-bit precision.
 """
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -166,12 +167,12 @@ def check_tape_contract(rng):
 
     Inside x + 0.2 * conv(x), the conv output is freed once the forward drops
     it, and so is the input of a leaky_relu, while the tape lives.  Node
-    inputs are the producing nodes, a leaf standing for itself.  A second
-    backward raises TapeError, and a tensor recorded on an earlier tape is a
-    leaf of the next one.  Two independent losses on one tape back-propagate
-    in turn; the next record drops the nodes a backward consumed and those no
-    live tensor reaches, and a later loss that reaches a consumed node raises
-    TapeError rather than lose its gradient.
+    inputs are the producing nodes, a leaf standing for itself.  A backward
+    consumes everything recorded on its tape before it: a second backward, a
+    loss recorded before it, and a later loss that reaches a node recorded
+    before it, on the same tape or a new one, raise TapeError.  The next
+    record starts an empty list, and a loss recorded from leaves after the
+    backward back-propagates.
     """
     x = Tensor(rng.standard_normal((6, 6, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 3, 4, 4)), requires_grad=True)
@@ -197,37 +198,28 @@ def check_tape_contract(rng):
     grads = T.backward(loss, tape)
     assert set(grads) == {x, w, b}, "backward returns a gradient for something other than the leaves"
     assert all(n.backward_fn is None for n in tape.nodes), "backward left a closure on the tape"
-    try:
-        T.backward(loss, tape)
-    except T.TapeError:
-        pass
-    else:
-        raise AssertionError("a second backward over a consumed tape did not raise TapeError")
-    with T.Tape() as later:
-        again = T.tsum(3.0 * y)
-    grads = T.backward(again, later)
-    assert list(grads) == [y] and np.array_equal(grads[y], np.full(y.shape, 3.0)), \
-        "a tensor from an earlier tape is not a leaf of the next"
 
-    with T.Tape() as shared:
-        y = T.square(x)
-        first = T.tsum(y)
-        second = T.tsum(3.0 * x)
-        T.sqrt(T.square(b))  # its output is gone, so no loss can reach these nodes
-        grads = T.backward(first, shared)
-        assert np.array_equal(grads[x], 2.0 * x.data), "the first of two losses"
-        third = T.tsum(2.0 * y)
-    assert [n.op for n in shared.nodes] == ["mul", "sum", "mul", "sum"], \
-        "the tape kept a node that a backward consumed or that nothing can reach"
-    grads = T.backward(second, shared)
-    assert list(grads) == [x] and np.array_equal(grads[x], np.full(x.shape, 3.0)), \
-        "the second of two independent losses on one tape"
-    try:
-        T.backward(third, shared)
-    except T.TapeError:
-        pass
-    else:
-        raise AssertionError("a loss that reaches a consumed node did not raise TapeError")
+    def refused(what, loss, tape):
+        try:
+            T.backward(loss, tape)
+        except T.TapeError:
+            return
+        raise AssertionError(f"{what} did not raise TapeError")
+
+    refused("a second backward", loss, tape)
+    with T.Tape() as tape:
+        sq = T.square(x)
+        first, second = T.tsum(sq), T.tsum(3.0 * x)
+        assert np.array_equal(T.backward(first, tape)[x], 2.0 * x.data), "the first loss"
+        refused("a loss recorded before the backward", second, tape)
+        third = T.tsum(T.square(x))
+        assert [n.op for n in tape.nodes] == ["square", "sum"], \
+            "the next record after a backward keeps nodes recorded before it"
+        assert np.array_equal(T.backward(third, tape)[x], 2.0 * x.data), \
+            "a loss recorded from leaves after the backward"
+        refused("a later loss that reaches a consumed node", T.tsum(2.0 * sq), tape)
+    with T.Tape() as later:
+        refused("a loss on a new tape that reaches a consumed node", T.tsum(3.0 * sq), later)
 
 
 def check_erf_matches_math_erf(rng):
@@ -478,14 +470,14 @@ def tiny_inputs(rng, side=12, r=2):
     return i_in, r_s, r_c
 
 
-def check_safe_start_equals_bicubic(rng):
-    cfg = preset("tiny", r=2)
+def check_safe_start_equals_bicubic(rng, r=2):
+    cfg = preset("tiny", r=r)
     state = init_model(cfg, seed=11, safe_start=True)
-    i_in, r_s, r_c = tiny_inputs(rng)
+    i_in, r_s, r_c = tiny_inputs(rng, r=r)
     i_out, r_out = forward(i_in, r_s, r_c, state, cfg)
-    up = bicubic_upsample(i_in[:, :, 0], 2)[:, :, None]
-    assert np.array_equal(i_out.data, up), "safe-start intensity must equal the bicubic skip"
-    assert np.array_equal(r_out.data, np.zeros_like(r_out.data))
+    up = bicubic_upsample(i_in[:, :, 0], r)[:, :, None]
+    assert np.array_equal(i_out.data, up), f"safe-start intensity must equal the bicubic skip at r={r}"
+    assert np.array_equal(r_out.data, np.zeros_like(r_out.data)), f"safe-start gradient map at r={r}"
     assert np.all(np.isfinite(i_out.data))
 
 
@@ -501,12 +493,12 @@ def check_ablation_liveness(rng):
         assert diff > 1e-6, f"disabling {switch} did not change the output (max diff {diff:.3g})"
 
 
-def check_network_gradients(rng, n_samples=100):
-    cfg = preset("tiny", r=2)
+def check_network_gradients(rng, n_samples=100, r=2):
+    cfg = preset("tiny", r=r)
     state = init_model(cfg, seed=19, safe_start=False)
-    i_in, r_s, r_c = tiny_inputs(rng)
-    gt = rng.uniform(0, 1, (24, 24, 1))
-    params = list(named_parameters(state))
+    i_in, r_s, r_c = tiny_inputs(rng, r=r)
+    gt = rng.uniform(0, 1, (12 * r, 12 * r, 1))
+    params = [(f"r={r} {name}", t) for name, t in named_parameters(state)]
     lcfg = LossConfig()
 
     def loss():
@@ -618,6 +610,15 @@ def check_datagen_preflight(rng):
     assert np.all(pair.t1_hr_grad >= 1e-3)
 
 
+def at_every_scale(check, *args):
+    """A check that runs ``check(rng, *args, r)`` at r = 2, 3 and 4."""
+    @functools.wraps(check)
+    def run(rng):
+        for r in (2, 3, 4):
+            check(rng, *args, r)
+    return run
+
+
 ALL_CHECKS = [
     ("tensor-core/fold-unfold-identity", check_fold_unfold_identity),
     ("tensor-core/pixel-shuffle-bijection", check_pixel_shuffle_bijection),
@@ -638,9 +639,9 @@ ALL_CHECKS = [
     ("cross-modality/adain-moment-alignment", check_adain_alignment),
     ("cross-modality/mean-shift-invariance", check_standardize_shift_invariance),
     ("cross-modality/output-shape", check_inter_modality_shape),
-    ("srnet/safe-start-equals-bicubic", check_safe_start_equals_bicubic),
+    ("srnet/safe-start-equals-bicubic", at_every_scale(check_safe_start_equals_bicubic)),
     ("srnet/ablation-switch-liveness", check_ablation_liveness),
-    ("srnet/end-to-end-gradient-check", lambda rng: check_network_gradients(rng, 20)),
+    ("srnet/end-to-end-gradient-check", at_every_scale(check_network_gradients, 20)),
     ("srnet/parameter-liveness", check_parameter_liveness),
     ("srnet/parameter-count-regression", lambda rng: check_parameter_count()),
     ("objectives/ssim-identities", check_ssim_identities),

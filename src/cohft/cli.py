@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -73,11 +72,13 @@ def train_step(batch, state, mc, lcfg):
     share = 1.0 / len(batch)
     grads, li_terms, lc_terms = {}, [None] * len(batch), [None] * len(batch)
     # Each sample's forward is followed at once by the backward of its share
-    # of the batch total, so the tape holds one sample's activations at a
-    # time.  Samples run last-first: one backward over the whole batch's tape
-    # sums each parameter's gradient in that order, last sample first, so the
-    # sums, added in place into one set, match it bit for bit.  The step keeps
-    # one tape, because the benchmark times a train step from Tape.__enter__.
+    # of the batch total.  That backward consumes everything on the tape, and
+    # the next sample's first record starts it empty, so the tape holds one
+    # sample's activations at a time.  Samples run last-first: one backward
+    # over the whole batch's tape sums each parameter's gradient in that
+    # order, last sample first, so the sums, added in place into one set,
+    # match it bit for bit.  The step keeps one tape, because the benchmark
+    # times a train step from Tape.__enter__.
     with T.Tape() as tape:
         for k in reversed(range(len(batch))):
             sid, pair = batch[k]
@@ -173,7 +174,7 @@ def cmd_eval(cfg: RunConfig, checkpoint):
         w.writerow(["sample_id", "psnr_db", "ssim", "loss_in", "loss_c", "total",
                     "psnr_bicubic", "ssim_bicubic"])
         for row in rows:
-            w.writerow([row[0]] + [f"{v:.6f}" if math.isfinite(v) else "inf" for v in row[1:]])
+            w.writerow([row[0]] + [f"{v:.6f}" for v in row[1:]])
     mean_psnr = float(np.mean([r[1] for r in rows]))
     mean_bic = float(np.mean([r[6] for r in rows]))
     print(f"evaluated {len(rows)} samples: mean PSNR {mean_psnr:.3f} dB "

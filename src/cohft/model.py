@@ -55,6 +55,10 @@ class ModelConfig:
         [h, w, 1], the guidance gradient map [r h, r w, 1] and, when given,
         the ground truth, which must equal the output's [r h, r w, 1].
         """
+        for name, shape, form in (("LR input", lr, "h, w"), ("LR gradient", lr_grad, "h, w"),
+                                  ("guidance", guide, "r h, r w")):
+            if len(shape) != 3 or shape[2] != 1:
+                raise ShapeError(f"{name} must be [{form}, 1], got shape {tuple(shape)}")
         h, w = lr[0], lr[1]
         problems = [f"extents {h}x{w} not divisible by {name}={n}"
                     for name, n in (("window side g", self.g), ("p_intra", self.p_intra),
@@ -227,13 +231,17 @@ def state_arrays(state):
 
 def load_state_arrays(state, arrays: dict):
     """Set each parameter to its entry; an entry of the parameter's dtype is
-    taken as is, not copied, so the state owns it from then on."""
+    taken as is, not copied, so the state owns it from then on.  NaN or inf
+    in an entry is a FormatError."""
     for name, t in named_parameters(state):
         if name not in arrays:
             raise FormatError(f"checkpoint is missing parameter {name!r}")
         arr = arrays[name]
         if arr.shape != t.data.shape:
             raise ShapeError(f"parameter {name!r}: checkpoint shape {arr.shape} != model {t.data.shape}")
+        bad = arr.size - np.count_nonzero(np.isfinite(arr))
+        if bad:
+            raise FormatError(f"checkpoint parameter {name!r} holds {bad} non-finite values")
         t.data = arr.astype(t.data.dtype, copy=False)
 
 

@@ -7,15 +7,16 @@ reverse order.  Layout is row-major with channel-last feature maps [h, w, d]; mo
 primitives also accept one or more leading batch axes.
 
 What the tape keeps: a node links the nodes that produced its inputs (a leaf
-tensor, or a tensor recorded on an earlier tape, stands for itself), holds its
-output only weakly, and its backward closure captures only the arrays its
-gradient formula reads.  So a forward intermediate that no formula reads, such
-as a residual term or a pre-activation conv output, is freed as soon as the
-forward drops it.  ``backward`` consumes what its loss reaches: it clears
-each node's closure once called, the tape's next record drops those nodes,
-and a later ``backward`` that reaches one of them raises ``TapeError``.  So
-one tape can serve several losses in turn: when each is recorded after the
-last backward, no backward walks a node an earlier one consumed.
+tensor stands for itself), holds its output only weakly, and its backward
+closure captures only the arrays its gradient formula reads.  So a forward
+intermediate that no formula reads, such as a residual term or a
+pre-activation conv output, is freed as soon as the forward drops it.
+
+One rule: a ``backward`` consumes everything recorded on its tape before it.
+It clears each closure it calls, and the tape's next record starts an empty
+list.  A second ``backward`` before that record, or a loss that reaches a
+node recorded before the last ``backward`` (on this tape or another), raises
+``TapeError`` rather than lose a gradient.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ LN_EPS = 1e-5
 LEAKY_SLOPE = 0.2  # the RRDB activation's negative slope
 
 _TAPE_STACK: list["Tape"] = []
-_TAPE_SERIALS = itertools.count()
 
 
 class ShapeError(ValueError):
@@ -37,8 +37,8 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Raised when the adjoint pass is asked for a value the tape never produced,
-    or walks a tape an earlier adjoint pass consumed."""
+    """Raised when the adjoint pass is asked for a value its tape does not hold:
+    one recorded on another tape, or before the tape's last adjoint pass."""
 
 
 class Tensor:
@@ -96,19 +96,19 @@ class Tensor:
 class Node:
     """One recorded primitive application.
 
-    ``inputs`` holds, per operand, the node that produced it on the same tape,
-    or else the operand tensor itself (a leaf).  The output is held weakly, so
-    it lives only as long as the forward keeps it.
+    ``inputs`` holds, per operand, the node that produced it, or else the
+    operand tensor itself (a leaf).  The output is held weakly, so it lives
+    only as long as the forward keeps it.  ``backward_fn`` is None once a
+    backward has called it.
     """
-    __slots__ = ("op", "inputs", "_out", "backward_fn", "tape_serial")
+    __slots__ = ("op", "inputs", "_out", "backward_fn")
     requires_grad = True  # a node is recorded only when its output needs a gradient
 
-    def __init__(self, op, inputs, out, backward_fn, tape_serial):
+    def __init__(self, op, inputs, out, backward_fn):
         self.op = op
         self.inputs = inputs
         self._out = weakref.ref(out)
         self.backward_fn = backward_fn
-        self.tape_serial = tape_serial
 
     @property
     def out(self):
@@ -119,27 +119,18 @@ class Node:
 class Tape:
     """Ordered record of primitive applications.
 
-    After a ``backward``, ``nodes`` still lists what it walked until the next
-    record (the benchmark's tracer counts them there).  That record first
-    drops the nodes the backward consumed, and every node no later loss can
-    reach: its output is gone and no node that stays reads it.
+    A ``backward`` consumes every node on it.  ``nodes`` still lists what it
+    walked until the next record (the benchmark's tracer counts them there),
+    which starts an empty list.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
-        # nodes carry the serial, not the tape, so that no node -> tape cycle
-        # delays freeing until the garbage collector runs
-        self.serial = next(_TAPE_SERIALS)
         self.spent = False  # a backward ran since the last record
 
     def record(self, node):
         if self.spent:
-            kept, reach = [], set()
-            for old in reversed(self.nodes):
-                if old.backward_fn is not None and (old in reach or old.out is not None):
-                    kept.append(old)
-                    reach.update(old.inputs)
-            self.nodes[:] = kept[::-1]
+            self.nodes.clear()
             self.spent = False
         self.nodes.append(node)
 
@@ -163,12 +154,8 @@ def _record(op, out_data, inputs, backward_fn):
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     # a node no gradient can reach is not kept, nor is the closure it holds
     if out.requires_grad and _TAPE_STACK:
-        tape = _TAPE_STACK[-1]
-        serial = tape.serial
-        links = tuple(t.node if t.node is not None and t.node.tape_serial == serial else t
-                      for t in inputs)
-        out.node = Node(op, links, out, backward_fn, serial)
-        tape.record(out.node)
+        out.node = Node(op, tuple(t.node or t for t in inputs), out, backward_fn)
+        _TAPE_STACK[-1].record(out.node)
     return out
 
 
@@ -176,15 +163,17 @@ def backward(loss, tape):
     """Adjoint pass: gradients of a scalar tape output w.r.t. requires_grad leaves.
 
     Visits nodes in strict reverse recording order (reverse topological order by
-    construction) and consumes those the loss reaches: each backward closure
-    is dropped once called, and the tape's next record drops the node.  A
-    loss that reaches a consumed node raises ``TapeError``, so no gradient is
-    lost.  Returns {leaf Tensor: gradient array}.
+    construction), dropping each backward closure once called, and consumes
+    the whole tape.  Raises ``TapeError`` if the tape is already spent, or if
+    the loss reaches a node the tape does not hold: one from another tape, or
+    one recorded before its last backward.  Returns {leaf Tensor: gradient array}.
     """
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
-    if loss.node is None or loss.node.tape_serial != tape.serial:
-        raise TapeError("loss tensor was not produced on this tape")
+    if loss.node is None:
+        raise TapeError("loss tensor was not produced on a tape")
+    if tape.spent:
+        raise TapeError("backward already ran over this tape since its last record")
 
     tape.spent = True
     # keyed by node, or by leaf tensor; every node key is popped on its visit
@@ -194,8 +183,6 @@ def backward(loss, tape):
         if g is None:
             continue
         fn, node.backward_fn = node.backward_fn, None
-        if fn is None:
-            raise TapeError("backward already ran over this tape")
         for src, ig in zip(node.inputs, fn(g)):
             if ig is None or not src.requires_grad:
                 continue
@@ -203,8 +190,8 @@ def backward(loss, tape):
                 grads[src] = grads[src] + ig
             else:
                 grads[src] = ig
-    if any(isinstance(key, Node) for key in grads):  # left the tape when it was consumed
-        raise TapeError("backward reached a node an earlier backward over this tape consumed")
+    if any(isinstance(key, Node) for key in grads):  # not on this tape since its last backward
+        raise TapeError("loss reaches a node recorded on another tape or before its last backward")
     return grads
 
 

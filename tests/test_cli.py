@@ -430,6 +430,56 @@ def test_bad_sample_anywhere_stops_train_before_it_writes(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, reshape, needle", [
+    ("t2_lr", lambda a: a[:, :, 0], "LR input must be [h, w, 1], got shape (12, 12)"),
+    ("t2_lr", lambda a: np.concatenate([a, a], axis=2),
+     "LR input must be [h, w, 1], got shape (12, 12, 2)"),
+    ("t1_hr_grad", lambda a: np.concatenate([a, a], axis=2),
+     "guidance must be [r h, r w, 1], got shape (24, 24, 2)"),
+], ids=["lr-2d", "lr-2-channels", "guidance-2-channels"])
+def test_image_of_other_rank_or_channels_is_one_line_error(tmp_path, capsys, field, reshape, needle):
+    # the second of two samples is bad; an earlier run in --out stays whole
+    data, out = gen(tmp_path, samples=2)
+    assert run(["--set", f"data_dir={data}", "--set", "steps=1", "--out", str(out), "train"]) == 0
+    sid = read_manifest(data)[1]
+    path = data / f"{sid}.{field}.chft"
+    chft.save_tensor(path, reshape(chft.load_tensor(path)))
+    names = ("train_log.csv", "checkpoint.chft", "config_echo.txt")
+    before = [(out / name).read_bytes() for name in names]
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), "train"], needle)
+    assert [(out / name).read_bytes() for name in names] == before
+    assert_one_line_error(capsys, infer_args(data, out, sid), needle)
+    assert not (out / "i_out.chft").exists()
+
+
+def test_non_finite_checkpoint_is_one_line_error(tmp_path, capsys):
+    data, out = gen(tmp_path, samples=1)
+    assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
+    ckpt = out / "checkpoint.chft"
+    arrays = chft.load_container(ckpt)
+    arrays["head_intensity.w"][1, 2, 3, 0] = np.nan
+    chft.save_container(ckpt, list(arrays.items()))
+    (sid,) = read_manifest(data)
+    for args in (["--set", f"data_dir={data}", "--out", str(out), "eval", str(ckpt)],
+                 infer_args(data, out, sid)):
+        assert_one_line_error(capsys, args, "checkpoint parameter 'head_intensity.w' holds 1 non-finite")
+    assert not (out / "metrics.csv").exists() and not (out / "i_out.chft").exists()
+
+
+def test_eval_writes_nan_as_nan(tmp_path, monkeypatch):
+    data, out = gen(tmp_path, samples=1)
+    assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
+    real = cli.forward
+    monkeypatch.setattr(cli, "forward", lambda *args: tuple(
+        Tensor(np.full_like(t.data, np.nan)) for t in real(*args)))
+    assert run(["--set", f"data_dir={data}", "--out", str(out), "eval",
+                str(out / "checkpoint.chft")]) == 0
+    with open(out / "metrics.csv") as f:
+        (row,) = csv.DictReader(f)
+    assert [row[k] for k in ("psnr_db", "ssim", "loss_in", "total")] == ["nan"] * 4
+    assert row["psnr_bicubic"] != "nan"
+
+
 def test_gen_data_side_not_divisible_by_r_is_one_line_error(tmp_path, capsys):
     data = tmp_path / "data"
     assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--set", "side=97",

@@ -3,7 +3,7 @@ import pytest
 
 from cohft import checks, chft
 from cohft.checks import (check_ablation_liveness, check_datagen_preflight,
-                          check_forward_determinism, check_parameter_count,
+                          check_forward_determinism, check_network_gradients, check_parameter_count,
                           check_parameter_liveness, check_safe_start_equals_bicubic, tiny_inputs)
 from cohft.model import (ModelConfig, count_parameters, forward, init_model,
                          init_rrdb_weights, load_state_arrays, named_parameters,
@@ -51,6 +51,12 @@ def test_rrdb_safe_start_identity():
 
 def test_safe_start_forward_equals_bicubic():
     check_safe_start_equals_bicubic(np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_safe_start_and_gradients_at_other_scales(r):
+    check_safe_start_equals_bicubic(np.random.default_rng(1), r)
+    assert check_network_gradients(np.random.default_rng(1), 20, r) <= 1e-4
 
 
 def test_forward_shapes_and_determinism():
