@@ -160,6 +160,25 @@ def check_primitive_gradients(rng):
     assert len(strips) == 2, f"the strip case spans {len(strips)} strips"
     finite_diff_check(lambda: T.tsum(T.square(T.conv2d(xs, ws, b))), [("x", xs), ("w", ws), ("b", b)],
                       4, rng, tol=1e-5)
+    # attend's backward turns S into dL in place, so S must be C-ordered.  On q
+    # and k laid out as the window attention's, head axis outermost, a plain
+    # matmul gives logits in that order, and a [B, N, N'] view would be a copy
+    qt, kt = (Tensor(rng.standard_normal((3, 4, 2, n)).transpose(2, 0, 3, 1), requires_grad=True)
+              for n in (5, 6))
+    vt = Tensor(rng.standard_normal((2, 3, 6, 2)), requires_grad=True)
+    wt = Tensor(rng.standard_normal((2, 3, 5, 2)))
+    assert not np.matmul(qt.data, kt.data.swapaxes(-1, -2)).flags.c_contiguous, \
+        "the transposed attend case has C-ordered logits"
+    for name, t in (("q", qt), ("k", kt), ("v", vt)):
+        finite_diff_check(lambda: T.tsum(T.attend(qt, kt, vt) * wt), [(name, t)], 4, rng, tol=1e-5)
+    # and on an S larger than the strip budget, so that dS is made in several bands
+    qb, kb, vb = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in ((1, 150, 4), (1, 250, 4), (1, 250, 2)))
+    wb = Tensor(rng.standard_normal((1, 150, 2)))
+    strips, _ = T._strips(1, 150, 1, 250 * qb.data.itemsize)
+    assert len(strips) > 1, f"the banded attend case spans {len(strips)} strip"
+    for name, t in (("q", qb), ("k", kb), ("v", vb)):
+        finite_diff_check(lambda: T.tsum(T.attend(qb, kb, vb) * wb), [(name, t)], 4, rng, tol=1e-5)
 
 
 def check_tape_contract(rng):

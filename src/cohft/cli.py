@@ -98,9 +98,12 @@ def cmd_train(cfg: RunConfig):
     ids = read_manifest(cfg.data_dir)
     pairs = [(sid, load_pair(cfg.data_dir, sid)) for sid in ids]
     mc, state = _model(cfg)
-    for _, pair in pairs:  # every sample, before --out is touched
-        mc.preflight(pair.t2_lr.shape, pair.t2_lr_grad.shape, pair.t1_hr_grad.shape,
-                     pair.t2_hr.shape)
+    for sid, pair in pairs:  # every sample, before --out is touched
+        try:
+            mc.preflight(pair.t2_lr.shape, pair.t2_lr_grad.shape, pair.t1_hr_grad.shape,
+                         pair.t2_hr.shape)
+        except T.ShapeError as exc:
+            raise T.ShapeError(f"{sid}: {exc}") from None
     out = _out_dir(cfg)
     lcfg = LossConfig(alpha=cfg.alpha, lam=cfg.lam)
     opt = AdamW(named_parameters(state), lr=cfg.lr, weight_decay=cfg.weight_decay)

@@ -494,29 +494,42 @@ def attend(q, k, v):
     """softmax(q k^T) v over the last two axes: q [.., N, e], k [.., N', e], v [.., N', f].
 
     Leading axes must be equal, none broadcast; the caller scales q.  The
-    row-max-shifted softmax S overwrites the logits, so one [.., N, N'] array
-    is alive.  Backward (Dao et al. 2022, "FlashAttention"): dV = S^T dO,
-    dS = dO V^T, dL = S (dS - rowsum(dS S)), dQ = dL K, dK = dL^T Q.  Inputs
-    are recorded as (v, q, k): one tensor passed as all three sums dV + dQ + dK.
+    row-max-shifted softmax S overwrites the logits, and the forward keeps S
+    alone.  Backward (Dao et al. 2022, "FlashAttention"): dV = S^T dO,
+    dS = dO V^T, dL = S (dS - rowsum(dS S)), dQ = dL K, dK = dL^T Q.  After
+    dV, S's buffer turns into dL in place, and dS exists one strip of rows at
+    a time (``_strips``, within ``_STRIP_BYTES``), so the backward adds no
+    [.., N, N'] array.  Inputs are recorded as (v, q, k): one tensor passed
+    as all three sums dV + dQ + dK.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim < 2 or kd.ndim != qd.ndim or vd.shape[:-1] != kd.shape[:-1] \
             or kd.shape[:-2] + kd.shape[-1:] != qd.shape[:-2] + qd.shape[-1:]:
         raise ShapeError(f"attend needs q [.., N, e], k [.., N', e] and v [.., N', f] with equal "
                          f"leading axes, got {qd.shape}, {kd.shape} and {vd.shape}")
-    s = np.matmul(qd, kd.swapaxes(-1, -2))
+    # into a C-ordered buffer: on transposed q and k, matmul's own output is
+    # not, and the backward's [B, N, N'] view of it would be a copy
+    s = np.matmul(qd, kd.swapaxes(-1, -2), out=np.empty(qd.shape[:-1] + kd.shape[-2:-1],
+                                                        dtype=np.result_type(qd, kd)))
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        ds = np.matmul(g, vd.swapaxes(-1, -2))
-        dl = ds * s
-        np.subtract(ds, dl.sum(axis=-1, keepdims=True), out=dl)
-        dl *= s
-        # dK as (Q^T dL)^T: BLAS sums dL^T Q in another order, which moves the last bits
-        return (np.matmul(s.swapaxes(-1, -2), g), np.matmul(dl, kd),
-                np.matmul(qd.swapaxes(-1, -2), dl).swapaxes(-1, -2))
+        dv = np.matmul(s.swapaxes(-1, -2), g)
+        n, n2 = s.shape[-2:]
+        sf = s.reshape(-1, n, n2)
+        gf, vf = g.reshape(-1, n, g.shape[-1]), vd.reshape(-1, n2, vd.shape[-1])
+        strips, rows = _strips(len(sf), n, 1, n2 * s.itemsize)
+        buf = np.empty(rows * n2, dtype=np.result_type(g, vd))
+        for b0, b1, y0, y1 in strips:
+            ds = buf[:(b1 - b0) * (y1 - y0) * n2].reshape(b1 - b0, y1 - y0, n2)
+            np.matmul(gf[b0:b1, y0:y1], vf[b0:b1].swapaxes(-1, -2), out=ds)
+            np.subtract(ds, (ds * sf[b0:b1, y0:y1]).sum(axis=-1, keepdims=True), out=ds)
+            sf[b0:b1, y0:y1] *= ds
+        # s now holds dL.  dK as (Q^T dL)^T: BLAS sums dL^T Q in another order,
+        # which moves the last bits
+        return dv, np.matmul(s, kd), np.matmul(qd.swapaxes(-1, -2), s).swapaxes(-1, -2)
 
     return _record("attend", np.matmul(s, vd), (v, q, k), bw)
 

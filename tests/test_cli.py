@@ -452,6 +452,15 @@ def test_image_of_other_rank_or_channels_is_one_line_error(tmp_path, capsys, fie
     assert not (out / "i_out.chft").exists()
 
 
+def test_train_error_names_the_bad_sample(tmp_path, capsys):
+    data, out = gen(tmp_path, samples=2)
+    path = data / "sample_00001.t2_lr.chft"
+    a = chft.load_tensor(path)
+    chft.save_tensor(path, np.concatenate([a, a], axis=2))
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), "train"],
+                          "sample_00001: LR input must be [h, w, 1], got shape (12, 12, 2)")
+
+
 def test_non_finite_checkpoint_is_one_line_error(tmp_path, capsys):
     data, out = gen(tmp_path, samples=1)
     assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0

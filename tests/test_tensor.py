@@ -533,6 +533,29 @@ def test_conv2d_forward_memory_is_its_output_and_strips():
     assert peak < out.data.nbytes + 4 * T._STRIP_BYTES, peak
 
 
+def test_attend_backward_scratch_is_one_strip():
+    # the backward turns S into dL in place and makes dS a strip of rows at a
+    # time: beside dO and the gradients it allocates strip-sized buffers, not
+    # two more [.., N, N'] arrays (5.2 and 19.3 MiB above its start when it did),
+    # on the global attention of tiny at LR 48 and on S's windows at LR 120
+    rng = np.random.default_rng(26)
+    for shape in ((2, 576, 8), (400, 4, 36, 4)):
+        q, k, v = (Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                   for _ in range(3))
+        w = Tensor(rng.standard_normal(shape).astype(np.float32))
+        with Tape() as tape:
+            loss = T.tsum(T.attend(q, k, v) * w)
+        tracemalloc.start()
+        try:
+            grads = backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # dO is w times the ones of tsum's backward
+        bound = sum(grads[t].nbytes for t in (q, k, v)) + w.data.nbytes + 2 * T._STRIP_BYTES
+        assert peak < bound, (shape, peak, bound)
+
+
 @given(h=st.integers(11, 40), w=st.integers(11, 40), c=st.integers(1, 5),
        lead=st.sampled_from([(), (1,), (3,)]), seed=st.integers(0, 2 ** 32 - 1))
 def test_separable_blur_matches_conv2d_property(h, w, c, lead, seed):
