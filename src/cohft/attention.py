@@ -55,11 +55,14 @@ class AttentionWeights:
     wk: Tensor             # no bias: a key bias adds one constant per softmax row, which cancels
     wv: Tensor
     bv: Tensor
-    out_w: Tensor          # 3x3 conv, zero-initialized for a safe start
+    out_w: Tensor          # 3x3 conv, zero at safe start
     out_b: Tensor
 
 
-def _uniform(rng, shape, fan_in, dtype):
+def _uniform(rng, shape, fan_in, dtype, zero=False):
+    """U(+-1/sqrt(fan_in)) weights; zeros, drawing nothing, for a path's last layer at safe start."""
+    if zero:
+        return _zeros(shape, dtype)
     bound = 1.0 / np.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, shape).astype(dtype), requires_grad=True)
 
@@ -84,17 +87,15 @@ def _init_embed(d, k, rng, dtype):
 def init_attention_weights(cfg: AttentionConfig, rng, dtype=np.float64, safe_start=True):
     dp2 = cfg.d * cfg.p * cfg.p
     dp = cfg.d_prime
-    w = AttentionWeights(
+    return AttentionWeights(
         embed1=_init_embed(cfg.d, 1, rng, dtype),
         embed2=_init_embed(cfg.d, cfg.rho, rng, dtype),
         wq=_uniform(rng, (cfg.M, dp2, dp), dp2, dtype), bq=_zeros((cfg.M, dp), dtype),
         wk=_uniform(rng, (cfg.M, dp2, dp), dp2, dtype),
         wv=_uniform(rng, (cfg.M, dp2, dp), dp2, dtype), bv=_zeros((cfg.M, dp), dtype),
-        out_w=_zeros((3, 3, cfg.d, cfg.d), dtype), out_b=_zeros(cfg.d, dtype),
+        out_w=_uniform(rng, (3, 3, cfg.d, cfg.d), 9 * cfg.d, dtype, zero=safe_start),
+        out_b=_zeros(cfg.d, dtype),
     )
-    if not safe_start:
-        w.out_w = _uniform(rng, (3, 3, cfg.d, cfg.d), 9 * cfg.d, dtype)
-    return w
 
 
 def tokenize(x, emb: EmbedWeights, k, p):

@@ -33,7 +33,10 @@ class CheckResult:
     detail: str = ""
 
 
-def finite_diff_check(loss_fn, params, n_samples, rng, step=1e-5, tol=1e-4):
+FD_STEP = 1e-5  # the central-difference half-step, before it shrinks
+
+
+def finite_diff_check(loss_fn, params, n_samples, rng, tol=1e-4):
     """Compare tape gradients with central finite differences on sampled entries."""
     with T.Tape() as tape:
         loss = loss_fn()
@@ -51,7 +54,7 @@ def finite_diff_check(loss_fn, params, n_samples, rng, step=1e-5, tol=1e-4):
         # the step shrinks on disagreement: a piecewise-linear kink inside the
         # central-difference interval biases fd linearly in the step size, so a
         # correct analytic gradient is recovered as the interval tightens
-        for h in (step, step / 10.0, step / 100.0):
+        for h in (FD_STEP, FD_STEP / 10.0, FD_STEP / 100.0):
             p.data[idx] = orig + h
             lp = loss_fn().item()
             p.data[idx] = orig - h
@@ -524,7 +527,7 @@ def check_network_gradients(rng, n_samples=100, r=2):
         i_out, r_out = forward(i_in, r_s, r_c, state, cfg)
         return objective([(i_out, r_out, Tensor(gt))], lcfg)[0]
 
-    return finite_diff_check(loss, params, n_samples, rng, step=1e-5, tol=1e-4)
+    return finite_diff_check(loss, params, n_samples, rng, tol=1e-4)
 
 
 LIVE_GRAD_RATIO = 1e-8

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from . import tensor as T
 from .checks import run_all_checks
 from .config import ConfigError, RunConfig, load_config
 from .data import FIELDS, PhantomSpec, generate_dataset, load_field, load_pair, read_manifest
-from .losses import LossConfig, batch_objective, objective, psnr, sample_terms, ssim
+from .losses import LossConfig, batch_objective, objective, psnr, sample_terms, ssim, ssim_extents
 from .model import (count_parameters, forward, init_model, load_state_arrays,
                     named_parameters, preset, state_arrays)
 from .optim import AdamW
@@ -39,12 +40,7 @@ def _out_dir(cfg: RunConfig):
 
 
 def cmd_gen_data(cfg: RunConfig):
-    if cfg.ellipses_max > 0 and not 0 <= cfg.ellipses_min <= cfg.ellipses_max:
-        raise ConfigError(f"ellipses_min must be between 0 and ellipses_max "
-                          f"({cfg.ellipses_max}), got {cfg.ellipses_min}")
-    spec = PhantomSpec(seed=cfg.seed, side=cfg.side, ellipses_min=cfg.ellipses_min,
-                       ellipses_max=cfg.ellipses_max, blur_sigma=cfg.blur_sigma,
-                       noise_sigma=cfg.noise_sigma)
+    spec = PhantomSpec(**{f.name: getattr(cfg, f.name) for f in fields(PhantomSpec)})
     ids = generate_dataset(cfg.data_dir, cfg.samples, cfg.r, spec)
     _out_dir(cfg)
     print(f"wrote {len(ids)} samples to {cfg.data_dir}")
@@ -102,6 +98,8 @@ def cmd_train(cfg: RunConfig):
         try:
             mc.preflight(pair.t2_lr.shape, pair.t2_lr_grad.shape, pair.t1_hr_grad.shape,
                          pair.t2_hr.shape)
+            if cfg.alpha < 1:  # both loss terms take the SSIM of HR-sized maps
+                ssim_extents(pair.t2_hr.shape)
         except T.ShapeError as exc:
             raise T.ShapeError(f"{sid}: {exc}") from None
     out = _out_dir(cfg)

@@ -5,6 +5,9 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .data import PhantomSpec
+from .losses import LossConfig
+
 
 class ConfigError(ValueError):
     pass
@@ -26,13 +29,14 @@ class RunConfig:
     data_dir: str = "data"
     out_dir: str = "out"
     samples: int = 8
-    side: int = 96
-    ellipses_min: int = 3
-    ellipses_max: int = 8
-    blur_sigma: float = 1.5
-    noise_sigma: float = 0.0
-    alpha: float = 0.95
-    lam: float = 0.5
+    # the phantom and loss keys default to the specs they feed, so each default is written once
+    side: int = PhantomSpec.side
+    ellipses_min: int = PhantomSpec.ellipses_min
+    ellipses_max: int = PhantomSpec.ellipses_max
+    blur_sigma: float = PhantomSpec.blur_sigma
+    noise_sigma: float = PhantomSpec.noise_sigma
+    alpha: float = LossConfig.alpha
+    lam: float = LossConfig.lam
 
     def echo(self, path):
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
@@ -41,7 +45,8 @@ class RunConfig:
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _POSITIVE = ("r", "batch_size", "lr_halve_epochs", "samples", "side")
-_NON_NEGATIVE = ("epochs", "steps", "blur_sigma", "noise_sigma", "lr", "weight_decay", "lam")
+_NON_NEGATIVE = ("seed", "epochs", "steps", "ellipses_max", "blur_sigma", "noise_sigma", "lr",
+                 "weight_decay", "lam")
 
 
 def _coerce(key, raw):
@@ -82,4 +87,8 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"{key} must be at least 0, got {values[key]}")
     if not 0 <= values["alpha"] <= 1:
         raise ConfigError(f"alpha must lie in [0, 1], got {values['alpha']}")
+    # ellipses_max = 0 draws no ellipses, whatever ellipses_min says
+    if values["ellipses_max"] > 0 and not 0 <= values["ellipses_min"] <= values["ellipses_max"]:
+        raise ConfigError(f"ellipses_min must be between 0 and ellipses_max "
+                          f"({values['ellipses_max']}), got {values['ellipses_min']}")
     return RunConfig(**values)

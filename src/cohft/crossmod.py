@@ -31,19 +31,17 @@ class AdaINWeights:
     expand_b: Tensor
     fuse_w: Tensor     # 3x3, 2d -> d
     fuse_b: Tensor
-    gamma_w: Tensor    # 3x3, d -> 1, zero-initialized
+    gamma_w: Tensor    # 3x3, d -> 1, zero at safe start
     gamma_b: Tensor
 
 
 def init_adain_weights(d, r, rng, dtype=np.float64, safe_start=True):
-    w = AdaINWeights(
+    return AdaINWeights(
         expand_w=_uniform(rng, (1, 1, d, d * r * r), d, dtype), expand_b=_zeros(d * r * r, dtype),
         fuse_w=_uniform(rng, (3, 3, 2 * d, d), 9 * 2 * d, dtype), fuse_b=_zeros(d, dtype),
-        gamma_w=_zeros((3, 3, d, 1), dtype), gamma_b=_zeros(1, dtype),
+        gamma_w=_uniform(rng, (3, 3, d, 1), 9 * d, dtype, zero=safe_start),
+        gamma_b=_zeros(1, dtype),
     )
-    if not safe_start:
-        w.gamma_w = _uniform(rng, (3, 3, d, 1), 9 * d, dtype)
-    return w
 
 
 def channel_moments(x):

@@ -23,6 +23,7 @@ FIELDS = ("t2_lr", "t2_lr_grad", "t1_hr_grad", "t2_hr")
 
 @dataclass
 class PhantomSpec:
+    """One gen-data run's phantoms; RunConfig takes its keys' defaults from here."""
     seed: int = 0
     side: int = 96              # HR canvas side
     ellipses_min: int = 3

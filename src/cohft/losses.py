@@ -28,6 +28,7 @@ SSIM_C2 = 0.03 ** 2
 
 @dataclass
 class LossConfig:
+    """The objective's weights; RunConfig takes the alpha and lam defaults from here."""
     alpha: float = 0.95
     lam: float = 0.5
     epsilon_grad: float = GRAD_EPS
@@ -49,15 +50,20 @@ def gaussian_taps(side, sigma):
     return g / g.sum()
 
 
+def ssim_extents(shape):
+    """Raise ShapeError unless an [h, w, 1] image of this shape spans the SSIM window."""
+    h, w = shape[-3], shape[-2]
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+        raise ShapeError(f"ssim needs extents >= {SSIM_WINDOW}, got {h}x{w}")
+
+
 def ssim(a, b):
     """Mean of the Gaussian-windowed local SSIM map; inputs [h, w, 1] in [0, 1]."""
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     if a.shape != b.shape or a.shape[-1] != 1:
         raise ShapeError(f"ssim needs two [h, w, 1] images, got {a.shape} and {b.shape}")
-    h, w = a.shape[-3], a.shape[-2]
-    if h < SSIM_WINDOW or w < SSIM_WINDOW:
-        raise ShapeError(f"ssim needs extents >= {SSIM_WINDOW}, got {h}x{w}")
+    ssim_extents(a.shape)
     taps = gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
     mu_a, mu_b, e_aa, e_bb, e_ab = (T.separable_blur(x, taps)
                                     for x in (a, b, a * a, b * b, a * b))

@@ -32,7 +32,6 @@ class ModelConfig:
     rdbs_per_rrdb: int
     convs_per_rdb: int
     g: int
-    p_intra: int
     p_inter: int
     M: int
     r: int
@@ -43,7 +42,8 @@ class ModelConfig:
     use_adain: bool = True
 
     def intra_cfg(self):
-        return AttentionConfig(d=self.d, M=self.M, p=self.p_intra, rho=1)
+        """Window attention: one token per pixel (p = 1) of a map registered to itself."""
+        return AttentionConfig(d=self.d, M=self.M)
 
     def inter_cfg(self):
         return AttentionConfig(d=self.d, M=self.M, p=self.p_inter, rho=self.r)
@@ -61,8 +61,8 @@ class ModelConfig:
                 raise ShapeError(f"{name} must be [{form}, 1], got shape {tuple(shape)}")
         h, w = lr[0], lr[1]
         problems = [f"extents {h}x{w} not divisible by {name}={n}"
-                    for name, n in (("window side g", self.g), ("p_intra", self.p_intra),
-                                    ("p_inter", self.p_inter)) if h % n or w % n]
+                    for name, n in (("window side g", self.g), ("p_inter", self.p_inter))
+                    if h % n or w % n]
         if problems:
             raise ShapeError("; ".join(problems))
         if tuple(lr_grad[:2]) != (h, w):
@@ -78,13 +78,13 @@ class ModelConfig:
 
 _PRESETS = {
     "L": dict(d=32, stages=4, rrdbs_per_stage=5, rdbs_per_rrdb=3, convs_per_rdb=5,
-              g=6, p_intra=1, p_inter=5, M=4),
+              g=6, p_inter=5, M=4),
     "M": dict(d=16, stages=3, rrdbs_per_stage=5, rdbs_per_rrdb=3, convs_per_rdb=3,
-              g=6, p_intra=1, p_inter=5, M=4),
+              g=6, p_inter=5, M=4),
     "S": dict(d=16, stages=2, rrdbs_per_stage=5, rdbs_per_rrdb=2, convs_per_rdb=3,
-              g=6, p_intra=1, p_inter=5, M=4),
+              g=6, p_inter=5, M=4),
     "tiny": dict(d=4, stages=1, rrdbs_per_stage=1, rdbs_per_rrdb=1, convs_per_rdb=2,
-                 g=3, p_intra=1, p_inter=2, M=2),
+                 g=3, p_inter=2, M=2),
 }
 
 
@@ -107,11 +107,8 @@ class Conv:
 
 
 def init_conv(k, c_in, c_out, rng, dtype, zero=False):
-    if zero:
-        w = _zeros((k, k, c_in, c_out), dtype)
-    else:
-        w = _uniform(rng, (k, k, c_in, c_out), k * k * c_in, dtype)
-    return Conv(w=w, b=_zeros(c_out, dtype))
+    return Conv(w=_uniform(rng, (k, k, c_in, c_out), k * k * c_in, dtype, zero=zero),
+                b=_zeros(c_out, dtype))
 
 
 def conv(xs, c: Conv):
@@ -172,8 +169,8 @@ class ModelState:
     gate_context: GateWeights
     stages: list[StageWeights]
     out_fuse: Conv       # 3x3, 2d -> d r^2
-    head_intensity: Conv  # 3x3, d -> 1, zero-initialized
-    head_gradient: Conv   # 3x3, d -> 1, zero-initialized
+    head_intensity: Conv  # 3x3, d -> 1, zero at safe start
+    head_gradient: Conv   # 3x3, d -> 1, zero at safe start
 
 
 def init_model(cfg: ModelConfig, seed=0, dtype=np.float64, safe_start=True):

@@ -57,21 +57,19 @@ class MLPWeights:
     conv1_b: Tensor
     ln2_gain: Tensor
     ln2_shift: Tensor
-    conv2_w: Tensor   # 1x1, 2d -> d, zero-initialized
+    conv2_w: Tensor   # 1x1, 2d -> d, zero at safe start
     conv2_b: Tensor
 
 
 def init_mlp_weights(d, rng, dtype=np.float64, safe_start=True):
     hidden = 2 * d
-    w = MLPWeights(
+    return MLPWeights(
         ln1_gain=_ones(d, dtype), ln1_shift=_zeros(d, dtype),
         conv1_w=_uniform(rng, (1, 1, d, hidden), d, dtype), conv1_b=_zeros(hidden, dtype),
         ln2_gain=_ones(hidden, dtype), ln2_shift=_zeros(hidden, dtype),
-        conv2_w=_zeros((1, 1, hidden, d), dtype), conv2_b=_zeros(d, dtype),
+        conv2_w=_uniform(rng, (1, 1, hidden, d), hidden, dtype, zero=safe_start),
+        conv2_b=_zeros(d, dtype),
     )
-    if not safe_start:
-        w.conv2_w = _uniform(rng, (1, 1, hidden, d), hidden, dtype)
-    return w
 
 
 def residual_mlp(x, weights: MLPWeights):

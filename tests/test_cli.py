@@ -321,6 +321,14 @@ def assert_one_line_error(capsys, args, needle):
     (["--set", "alpha=1.5", "train"], "alpha must lie in [0, 1], got 1.5"),
     (["--set", "alpha=-0.5", "gen-data"], "alpha must lie in [0, 1], got -0.5"),
     (["--set", "lr=-1", "gen-data"], "lr must be at least 0"),
+    # the ellipses rule is a config rule, so train rejects it too
+    (["--set", "ellipses_min=9", "--set", "ellipses_max=3", "train"],
+     "between 0 and ellipses_max (3), got 9"),
+    # a negative ellipses_max used to pass that rule, which runs only above 0, and draw no ellipse
+    (["--set", "ellipses_max=-3", "gen-data"], "ellipses_max must be at least 0, got -3"),
+    *((["--seed", "-1", *command], "seed must be at least 0, got -1")
+      for command in (["gen-data"], ["train"], ["check"], ["eval", "ckpt.chft"],
+                      ["infer", "ckpt.chft", "a.chft", "b.chft", "c.chft"])),
 ])
 def test_bad_config_is_one_line_error(tmp_path, capsys, args, needle):
     # rejected as the configuration loads: gen-data writes no sample, train no run
@@ -507,6 +515,19 @@ def test_gen_data_ellipses_min_out_of_range_is_one_line_error(tmp_path, capsys, 
     assert not data.exists()
     # with ellipses_max = 0 a phantom has no ellipses, whatever ellipses_min says
     assert run([*args, "--set", "ellipses_min=9", "--set", "ellipses_max=0", "gen-data"]) == 0
+
+
+def test_hr_smaller_than_the_ssim_window_stops_train_before_it_writes(tmp_path, capsys):
+    # at r = 1 a 6 px sample fits tiny's windows, but not the 11 px SSIM window
+    data, out = tmp_path / "data", tmp_path / "out"
+    args = ["--set", f"data_dir={data}", "--set", "r=1", "--out", str(out)]
+    assert run([*args, "--set", "samples=2", "--set", "side=6", "gen-data"]) == 0
+    # MSE alone needs no window, so that objective trains on the same data
+    assert run([*args, "--set", "alpha=1", "--set", "lam=0", "--set", "steps=1", "train"]) == 0
+    names = ("train_log.csv", "checkpoint.chft", "config_echo.txt")
+    before = [(out / name).read_bytes() for name in names]
+    assert_one_line_error(capsys, [*args, "train"], "sample_00000: ssim needs extents >= 11, got 6x6")
+    assert [(out / name).read_bytes() for name in names] == before
 
 
 @pytest.mark.parametrize("setting", ["noise_sigma=inf", "blur_sigma=nan", "lr=nan", "alpha=-inf"])

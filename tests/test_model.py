@@ -17,7 +17,7 @@ TINY_R2_PARAMS = 5_344
 def test_preset_table():
     cfg = preset("L", r=4)
     assert (cfg.d, cfg.stages, cfg.M, cfg.g) == (32, 4, 4, 6)
-    assert cfg.p_intra == 1 and cfg.p_inter == 5
+    assert cfg.p_inter == 5 and cfg.intra_cfg().p == 1
     tiny = preset("tiny", r=2)
     assert (tiny.d, tiny.stages, tiny.M, tiny.g) == (4, 1, 2, 3)
     with pytest.raises(ValueError):
@@ -49,6 +49,20 @@ def test_rrdb_safe_start_identity():
     assert np.abs(rrdb(x, w2).data - x.data).max() > 1e-6
 
 
+@pytest.mark.parametrize("name, count", [("tiny", 13), ("S", 42)])
+def test_safe_start_zeroes_the_last_layer_of_each_path(name, count):
+    # each attention, MLP, AdaIN gamma, RDB and output head ends in a zero layer, and no other array
+    cfg = preset(name, r=2)
+    safe, live = (dict(state_arrays(init_model(cfg, seed=0, dtype=np.float32, safe_start=s)))
+                  for s in (True, False))
+    zeroed = {k for k, a in safe.items() if not a.any() and live[k].any()}
+    last_conv = f".convs.{cfg.convs_per_rdb - 1}.w"
+    expected = {k for k in safe if k.endswith((".out_w", ".conv2_w", ".gamma_w", last_conv))}
+    expected |= {"head_intensity.w", "head_gradient.w"}
+    assert zeroed == expected
+    assert len(zeroed) == count
+
+
 def test_safe_start_forward_equals_bicubic():
     check_safe_start_equals_bicubic(np.random.default_rng(1))
 
@@ -78,7 +92,7 @@ def test_forward_rejects_bad_extents():
 def test_preflight_messages():
     check_datagen_preflight(np.random.default_rng(0))  # a generated sample passes
     cfg = ModelConfig(d=4, stages=1, rrdbs_per_stage=1, rdbs_per_rrdb=1,
-                      convs_per_rdb=2, g=3, p_intra=1, p_inter=2, M=2, r=2)
+                      convs_per_rdb=2, g=3, p_inter=2, M=2, r=2)
     lr, hr, small = (12, 12, 1), (24, 24, 1), (10, 10, 1)
     cfg.preflight(lr, lr, hr, hr)
     for shapes, needle in [((small, small, (20, 20, 1)), "not divisible by window side g=3"),
