@@ -107,11 +107,7 @@ def tokenize(x, emb: EmbedWeights, k, p):
     [.., h/k, w/k, k^2 d]; a 1x1 conv reads the [k, k, d, d] weights as [1, 1, k^2 d, d].
     """
     h, w, d = x.shape[-3:]
-    if h % k or w % k:
-        raise ShapeError(f"extents h={h}, w={w} not divisible by the embedding patch side {k}")
-    h, w = h // k, w // k
-    if h % p or w % p:
-        raise ShapeError(f"registered extents h={h}, w={w} not divisible by p={p}")
+    h, w = h // k, w // k  # rearrange and unfold check the extents against k and p
     y = T.layer_norm(x, emb.pre_gain, emb.pre_shift)
     y = T.rearrange(y, ((h, k), (w, k), (d,)), (0, 2, 1, 3, 4), (h, w, k * k * d))
     y = T.conv2d(y, T.reshape(emb.conv_w, (1, 1, k * k * d, d)), emb.conv_b)

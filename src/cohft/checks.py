@@ -121,7 +121,6 @@ def check_primitive_gradients(rng):
         ("gelu", lambda: T.tsum(T.square(T.gelu(x))), [("x", x)]),
         ("sigmoid", lambda: T.tsum(T.square(T.sigmoid(x))), [("x", x)]),
         ("unfold/fold", lambda: T.tsum(T.square(T.fold(T.unfold(x * x, 1), 1, 5, 5))), [("x", x)]),
-        ("forward_diff", lambda: T.tsum(gradient_map(x)), [("x", x)]),
     ]
     for _, fn, params in cases:
         finite_diff_check(fn, params, 4, rng, tol=1e-5)

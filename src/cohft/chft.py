@@ -22,6 +22,14 @@ class FormatError(ValueError):
     pass
 
 
+def require_finite(arr, what):
+    """``arr``, or a FormatError naming ``what`` if it holds NaN or inf: the rule for loaded arrays."""
+    bad = arr.size - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise FormatError(f"{what} holds {bad} non-finite values")
+    return arr
+
+
 def _encode(arr: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(arr)
     if arr.dtype not in _CODES:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from dataclasses import fields
@@ -53,6 +54,15 @@ def _forward(pair, state, mc):
     return i_out, r_out, Tensor(np.asarray(pair.t2_hr, dtype=i_out.data.dtype))
 
 
+@contextlib.contextmanager
+def _naming(sid):
+    """Prefix a ShapeError raised inside with the id of the sample it concerns."""
+    try:
+        yield
+    except T.ShapeError as exc:
+        raise T.ShapeError(f"{sid}: {exc}") from None
+
+
 class Diverged(ArithmeticError):
     """A sample's loss was non-finite; args[0] is its id.  No gradient was taken from it."""
 
@@ -95,13 +105,11 @@ def cmd_train(cfg: RunConfig):
     pairs = [(sid, load_pair(cfg.data_dir, sid)) for sid in ids]
     mc, state = _model(cfg)
     for sid, pair in pairs:  # every sample, before --out is touched
-        try:
+        with _naming(sid):
             mc.preflight(pair.t2_lr.shape, pair.t2_lr_grad.shape, pair.t1_hr_grad.shape,
                          pair.t2_hr.shape)
             if cfg.alpha < 1:  # both loss terms take the SSIM of HR-sized maps
                 ssim_extents(pair.t2_hr.shape)
-        except T.ShapeError as exc:
-            raise T.ShapeError(f"{sid}: {exc}") from None
     out = _out_dir(cfg)
     lcfg = LossConfig(alpha=cfg.alpha, lam=cfg.lam)
     opt = AdamW(named_parameters(state), lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -153,22 +161,23 @@ def cmd_eval(cfg: RunConfig, checkpoint):
     lcfg = LossConfig(alpha=cfg.alpha, lam=cfg.lam)
     ids = read_manifest(cfg.data_dir)
     rows = []
-    for sid in ids:
+    for sid in ids:  # one sample loaded at a time; --out is touched after the last
         pair = load_pair(cfg.data_dir, sid)
-        i_out, r_out, gt = _forward(pair, state, mc)
-        li, lc = sample_terms(i_out, r_out, gt, lcfg)
-        # summed at f64 whatever the precision
-        total = batch_objective([Tensor(li.data, dtype=np.float64)],
-                                [Tensor(lc.data, dtype=np.float64)], lcfg)[0].item()
-        up = bicubic_upsample(pair.t2_lr[:, :, 0].astype(np.float64), cfg.r)[:, :, None]
-        rows.append([
-            sid,
-            psnr(i_out.data, pair.t2_hr),
-            ssim(Tensor(i_out.data.astype(np.float64)), Tensor(pair.t2_hr)).item(),
-            li.item(), lc.item(), total,
-            psnr(up, pair.t2_hr),
-            ssim(Tensor(up), Tensor(pair.t2_hr)).item(),
-        ])
+        with _naming(sid):
+            i_out, r_out, gt = _forward(pair, state, mc)
+            li, lc = sample_terms(i_out, r_out, gt, lcfg)
+            # summed at f64 whatever the precision
+            total = batch_objective([Tensor(li.data, dtype=np.float64)],
+                                    [Tensor(lc.data, dtype=np.float64)], lcfg)[0].item()
+            up = bicubic_upsample(pair.t2_lr[:, :, 0].astype(np.float64), cfg.r)[:, :, None]
+            rows.append([
+                sid,
+                psnr(i_out.data, pair.t2_hr),
+                ssim(Tensor(i_out.data.astype(np.float64)), Tensor(pair.t2_hr)).item(),
+                li.item(), lc.item(), total,
+                psnr(up, pair.t2_hr),
+                ssim(Tensor(up), Tensor(pair.t2_hr)).item(),
+            ])
     path = _out_dir(cfg) / "metrics.csv"
     with open(path, "w", newline="") as f:
         w = csv.writer(f)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionConfig, AttentionWeights, _uniform, _zeros, basic_attention, init_attention_weights
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 from .windows import MLPWeights, init_mlp_weights, residual_mlp
 
 IN_EPS = 1e-5
@@ -59,11 +59,7 @@ def instance_standardize(x2):
 
 
 def compute_affine(x1, x2, weights: AdaINWeights, r):
-    """Point-wise scale offset gamma [rh, rw, 1] from the fused streams."""
-    h, w, _ = x1.shape
-    if x2.shape[-3] != r * h or x2.shape[-2] != r * w:
-        raise ShapeError(f"compute_affine: x2 extents {x2.shape[-3]}x{x2.shape[-2]} "
-                         f"do not equal r*{h} x r*{w} with r={r}")
+    """Point-wise scale offset gamma [rh, rw, 1] from the fused streams (conv2d checks x2's extents)."""
     x1h = T.conv2d(x1, weights.expand_w, weights.expand_b)
     x1h = T.pixel_shuffle(x1h, r)
     xh = T.conv2d([x2, x1h], weights.fuse_w, weights.fuse_b)

@@ -99,11 +99,7 @@ def save_pair(directory, sample_id, pair: TrainingPair):
 
 def load_field(path, name):
     """One image ``name`` of FIELDS, as train, eval and infer read it; NaN or inf is a FormatError."""
-    arr = chft.load_tensor(path)
-    bad = arr.size - np.count_nonzero(np.isfinite(arr))
-    if bad:
-        raise chft.FormatError(f"{name} {path} holds {bad} non-finite values")
-    return arr
+    return chft.require_finite(chft.load_tensor(path), f"{name} {path}")
 
 
 def load_pair(directory, sample_id) -> TrainingPair:

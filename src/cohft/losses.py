@@ -5,8 +5,8 @@ the one objective that train, eval and the checks run, is two pieces:
 sample_terms takes both terms of one sample and keeps a term of weight
 exactly 0 off the tape (alpha == 1 drops SSIM, lam == 0 detaches the
 gradient stream); batch_objective averages the terms over a batch and adds
-the gradient-domain term with weight lam.  Everything here is built from the
-differentiable primitives, so losses can sit at the end of a recorded tape.
+the gradient-domain term with weight lam.  The losses are built from tape
+primitives, so they can end a recorded tape; the gradient map is numpy data.
 """
 from __future__ import annotations
 
@@ -35,11 +35,13 @@ class LossConfig:
 
 
 def gradient_map(img, eps=GRAD_EPS):
-    """sqrt((dx I)^2 + (dy I)^2 + eps) with forward differences, replicate boundary."""
-    img = img if isinstance(img, Tensor) else Tensor(img)
-    dy = T.forward_diff(img, 0)
-    dx = T.forward_diff(img, 1)
-    return T.sqrt(T.square(dx) + T.square(dy) + eps)
+    """sqrt((dx I)^2 + (dy I)^2 + eps), forward differences on axes 0 and 1, replicate boundary;
+    numpy that records nothing, as the map is data no gradient flows through."""
+    x = (img if isinstance(img, Tensor) else Tensor(img)).data
+    dy, dx = np.zeros_like(x), np.zeros_like(x)
+    dy[:-1] = x[1:] - x[:-1]
+    dx[:, :-1] = x[:, 1:] - x[:, :-1]
+    return Tensor(np.sqrt(dx * dx + dy * dy + x.dtype.type(eps)))
 
 
 def gaussian_taps(side, sigma):
@@ -58,9 +60,7 @@ def ssim_extents(shape):
 
 
 def ssim(a, b):
-    """Mean of the Gaussian-windowed local SSIM map; inputs [h, w, 1] in [0, 1]."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
+    """Mean of the Gaussian-windowed local SSIM map; input Tensors [h, w, 1] in [0, 1]."""
     if a.shape != b.shape or a.shape[-1] != 1:
         raise ShapeError(f"ssim needs two [h, w, 1] images, got {a.shape} and {b.shape}")
     ssim_extents(a.shape)
@@ -79,8 +79,6 @@ def ssim(a, b):
 
 
 def mse(a, b):
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
     return T.tmean(T.square(a - b))
 
 
@@ -104,11 +102,11 @@ def _mse_minus_ssim(out, target, cfg):
     return cfg.alpha * mse(out, target) - (1.0 - cfg.alpha) * ssim(out, target)
 
 
-def loss_in(i_out, i_gt, cfg: LossConfig = LossConfig()):
+def loss_in(i_out, i_gt, cfg: LossConfig):
     return _mse_minus_ssim(i_out, i_gt, cfg)
 
 
-def loss_c(r_out, r_gt, cfg: LossConfig = LossConfig()):
+def loss_c(r_out, r_gt, cfg: LossConfig):
     return _mse_minus_ssim(r_out, r_gt, cfg)
 
 
@@ -119,7 +117,7 @@ def _mean(terms):
     return (1.0 / len(terms)) * sum(terms[1:], terms[0])
 
 
-def sample_terms(i_out, r_out, i_gt, cfg: LossConfig = LossConfig()):
+def sample_terms(i_out, r_out, i_gt, cfg: LossConfig):
     """(L_in, L_c) of one sample, L_c against the gradient map of i_gt.
 
     At lam == 0, L_c is taken from the detached r_out: weighted by exactly 0
@@ -134,7 +132,7 @@ def sample_terms(i_out, r_out, i_gt, cfg: LossConfig = LossConfig()):
     return li, loss_c(r_out if cfg.lam else Tensor(r_out.data), r_gt, cfg)
 
 
-def batch_objective(li_terms, lc_terms, cfg: LossConfig = LossConfig()):
+def batch_objective(li_terms, lc_terms, cfg: LossConfig):
     """(total, mean L_in, mean L_c) of per-sample terms: total = mean L_in + lam * mean L_c."""
     li_mean, lc_mean = _mean(li_terms), _mean(lc_terms)
     return li_mean + cfg.lam * lc_mean, li_mean, lc_mean

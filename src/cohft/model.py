@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionConfig, AttentionWeights, _uniform, _zeros, init_attention_weights
-from .chft import FormatError
+from .chft import FormatError, require_finite
 from .config import ConfigError
 from .crossmod import InterModalityWeights, init_inter_modality_weights, inter_modality_attention
 from .resample import bicubic_upsample
@@ -236,10 +236,7 @@ def load_state_arrays(state, arrays: dict):
         arr = arrays[name]
         if arr.shape != t.data.shape:
             raise ShapeError(f"parameter {name!r}: checkpoint shape {arr.shape} != model {t.data.shape}")
-        bad = arr.size - np.count_nonzero(np.isfinite(arr))
-        if bad:
-            raise FormatError(f"checkpoint parameter {name!r} holds {bad} non-finite values")
-        t.data = arr.astype(t.data.dtype, copy=False)
+        t.data = require_finite(arr, f"checkpoint parameter {name!r}").astype(t.data.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -439,13 +439,16 @@ def rearrange(x, split, perm, shape):
     orders the split axes and ``shape`` is the trailing result; leading axes
     ride along.  The backward runs the inverse and holds only shapes.  A
     permutation that moves only unit axes keeps the data in order: that is a
-    ``reshape``, which records nothing when the shape does not change.
+    ``reshape``, which records nothing when the shape does not change.  The
+    one extent check of every layout: each trailing axis must split into its
+    extents, and ``shape`` must hold the split's entries, else ``ShapeError``.
     """
     src = x.data.shape
     nb = len(src) - len(split)
-    if nb < 0 or any(math.prod(parts) != n for parts, n in zip(split, src[nb:])):
-        raise ShapeError(f"rearrange: {src} does not split into {split}")
     lead, flat = src[:nb], tuple(n for parts in split for n in parts)
+    if nb < 0 or any(math.prod(parts) != n for parts, n in zip(split, src[nb:])) \
+            or math.prod(shape) != math.prod(flat):
+        raise ShapeError(f"rearrange: {src} does not split into {split} and merge into {tuple(shape)}")
     order = [i for i in perm if flat[i] != 1]
     if order == sorted(order):
         return reshape(x, lead + tuple(shape))
@@ -812,43 +815,18 @@ def unfold(x, p):
     row, then column, then channel.
     """
     h, w, d = x.shape[-3:]
-    if h % p or w % p:
-        raise ShapeError(f"unfold: extents h={h}, w={w} not divisible by p={p}")
     return rearrange(x, ((h // p, p), (w // p, p), (d,)), (0, 2, 1, 3, 4),
                      ((h // p) * (w // p), p * p * d))
 
 
 def fold(tokens, p, h, w):
     """Inverse of unfold: [.., N, d p^2] -> [.., h, w, d]."""
-    n, dp2 = tokens.shape[-2:]
-    if h % p or w % p or n != (h // p) * (w // p):
-        raise ShapeError(f"fold: N={n} inconsistent with h={h}, w={w}, p={p}")
-    if dp2 % (p * p):
-        raise ShapeError(f"fold: token width {dp2} not divisible by p^2={p * p}")
-    d = dp2 // (p * p)
+    d = tokens.shape[-1] // (p * p)
     return rearrange(tokens, ((h // p, w // p), (p, p, d)), (0, 2, 1, 3, 4), (h, w, d))
 
 
 def pixel_shuffle(x, r):
     """[.., h, w, d r^2] -> [.., r h, r w, d]; channel c r^2 + dy r + dx goes to (r y + dy, r x + dx, c)."""
     h, w, c = x.shape[-3:]
-    if c % (r * r):
-        raise ShapeError(f"pixel_shuffle: channels {c} not divisible by r^2={r * r}")
     d = c // (r * r)
     return rearrange(x, ((h,), (w,), (d, r, r)), (0, 3, 1, 4, 2), (r * h, r * w, d))
-
-
-def forward_diff(x, axis):
-    """Forward difference along an axis with replicate boundary (last slice = 0)."""
-    before = (slice(None),) * (axis % x.ndim)
-    src, dst = before + (slice(1, None),), before + (slice(0, -1),)
-    out = np.zeros_like(x.data)
-    out[dst] = x.data[src] - x.data[dst]
-
-    def bw(g):
-        ig = np.zeros_like(g)
-        ig[src] += g[dst]
-        ig[dst] -= g[dst]
-        return (ig,)
-
-    return _record("forward_diff", out, (x,), bw)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionConfig, AttentionWeights, _uniform, _zeros, _ones, basic_attention
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 
 def _layout(h, w, g, mode):
@@ -27,8 +27,6 @@ def _layout(h, w, g, mode):
     """
     if mode not in ("short", "long"):
         raise ValueError(f"mode must be 'short' or 'long', got {mode!r}")
-    if h % g or w % g:
-        raise ShapeError(f"window partition: extents h={h}, w={w} not divisible by g={g} ({mode} mode)")
     if mode == "short":
         return (h // g, g, w // g, g), (0, 2, 1, 3)
     return (g, h // g, g, w // g), (1, 3, 0, 2)

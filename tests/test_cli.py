@@ -530,6 +530,33 @@ def test_hr_smaller_than_the_ssim_window_stops_train_before_it_writes(tmp_path, 
     assert [(out / name).read_bytes() for name in names] == before
 
 
+def assert_eval_stops_naming(capsys, args, checkpoint, out, line):
+    # eval streams the samples and writes --out after the last, so a failing one leaves nothing
+    assert_one_line_error(capsys, [*args, "--out", str(out), "eval", str(checkpoint)], line)
+    assert not (out / "metrics.csv").exists() and not (out / "config_echo.txt").exists()
+
+
+def test_eval_names_the_sample_under_the_ssim_window(tmp_path, capsys):
+    # at r = 1 a 6 px sample trains on MSE alone, but eval reports SSIM, which needs 11 px
+    data, run_dir = tmp_path / "data", tmp_path / "run"
+    args = ["--set", f"data_dir={data}", "--set", "r=1"]
+    assert run([*args, "--set", "samples=2", "--set", "side=6", "--out", str(run_dir), "gen-data"]) == 0
+    assert run([*args, "--set", "alpha=1", "--set", "lam=0", "--set", "steps=1", "--out", str(run_dir),
+                "train"]) == 0
+    assert_eval_stops_naming(capsys, args, run_dir / "checkpoint.chft", tmp_path / "eval",
+                             "cohft: error: sample_00000: ssim needs extents >= 11, got 6x6\n")
+
+
+def test_eval_names_the_sample_with_a_ground_truth_of_other_extents(tmp_path, capsys):
+    data, run_dir = gen(tmp_path, samples=2)
+    assert run(["--set", f"data_dir={data}", "--set", "steps=1", "--out", str(run_dir), "train"]) == 0
+    path = data / "sample_00001.t2_hr.chft"  # the first sample evaluates, the second stops eval
+    chft.save_tensor(path, chft.load_tensor(path)[:12, :12])
+    assert_eval_stops_naming(capsys, ["--set", f"data_dir={data}"], run_dir / "checkpoint.chft",
+                             tmp_path / "eval", "cohft: error: sample_00001: ground truth extents "
+                             "(12, 12, 1) do not match the output's (24, 24, 1)\n")
+
+
 @pytest.mark.parametrize("setting", ["noise_sigma=inf", "blur_sigma=nan", "lr=nan", "alpha=-inf"])
 def test_non_finite_config_value_is_one_line_error(tmp_path, capsys, setting):
     # rejected as the configuration loads: gen-data writes no sample, train no run

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cohft import tensor as T
@@ -620,6 +620,34 @@ def test_rearrange_carries_leading_axes():
     for split in (((4,), (5,)), ((2, 3, 4, 6, 1, 1),) * 5):
         with pytest.raises(ShapeError):
             T.rearrange(x, split, (1, 0), (6, 4))
+    with pytest.raises(ShapeError):  # the 24 entries of a [4, 6] slice do not fill [12, 3]
+        T.rearrange(x, ((4,), (2, 3)), (2, 0, 1), (12, 3))
+
+
+@given(h=st.integers(1, 12), w=st.integers(1, 12), p=st.sampled_from([2, 3]), d=st.integers(1, 3))
+def test_layouts_reject_indivisible_extents(h, w, p, d):
+    # rearrange is the one extent check: every layout over extents that p does not
+    # divide raises ShapeError, never a numpy error, also where the tokens or
+    # windows fill the floors h // p and w // p
+    assume(h % p or w % p)
+    x = Tensor(np.zeros((h, w, d)))
+    n = (h // p) * (w // p)
+    cfg = AttentionConfig(d=d, M=1, p=p, rho=p)
+    weights = init_attention_weights(cfg, np.random.default_rng(0))
+    layouts = [
+        lambda: T.unfold(x, p),
+        lambda: T.fold(Tensor(np.zeros((n, p * p * d))), p, h, w),
+        # channels that p^2 does not divide
+        lambda: T.pixel_shuffle(Tensor(np.zeros((2, 3, p * p * d + (h % p or w % p)))), p),
+        lambda: tokenize(x, weights.embed1, 1, p),
+        lambda: tokenize(x, weights.embed2, p, 1),
+    ]
+    for mode in ("short", "long"):
+        layouts.append(lambda mode=mode: partition(x, p, mode))
+        layouts.append(lambda mode=mode: merge(Tensor(np.zeros((n, p, p, d))), h, w, mode))
+    for layout in layouts:
+        with pytest.raises(ShapeError):
+            layout()
 
 
 def test_each_layout_records_one_rearrange_node():
@@ -648,18 +676,6 @@ def test_each_layout_records_one_rearrange_node():
     with Tape() as tape:
         tokenize(x, emb, 1, 1)
     assert "rearrange" not in [node.op for node in tape.nodes]
-
-
-def test_forward_diff():
-    rng = np.random.default_rng(17)
-    img = rng.standard_normal((5, 6, 1))
-    dy = T.forward_diff(Tensor(img), 0).data
-    want = np.zeros_like(img)
-    want[:-1] = img[1:] - img[:-1]  # replicate boundary: last row difference is zero
-    assert np.array_equal(dy, want)
-    it = Tensor(img, requires_grad=True)
-    finite_diff_check(lambda: T.tsum(T.square(T.forward_diff(it, 1))), [("it", it)], 5, rng,
-                      tol=1e-5)
 
 
 def test_backward_rejects_foreign_and_nonscalar_losses():
