@@ -19,7 +19,8 @@ from .crossmod import (IN_EPS, adain, channel_moments, init_adain_weights,
                        init_inter_modality_weights, instance_standardize,
                        inter_modality_attention)
 from .data import PhantomSpec, make_pair, synth_phantom
-from .losses import SSIM_SIGMA, SSIM_WINDOW, LossConfig, gaussian_taps, gradient_map, objective, ssim
+from .losses import (SSIM_SIGMA, SSIM_WINDOW, LossConfig, gaussian_taps, gradient_map, objective,
+                     objective_extents, ssim)
 from .model import (count_parameters, forward, init_model, named_parameters, preset)
 from .resample import bicubic_upsample
 from .tensor import Tensor
@@ -496,7 +497,7 @@ def check_safe_start_equals_bicubic(rng, r=2):
     state = init_model(cfg, seed=11, safe_start=True)
     i_in, r_s, r_c = tiny_inputs(rng, r=r)
     i_out, r_out = forward(i_in, r_s, r_c, state, cfg)
-    up = bicubic_upsample(i_in[:, :, 0], r)[:, :, None]
+    up = bicubic_upsample(i_in, r)
     assert np.array_equal(i_out.data, up), f"safe-start intensity must equal the bicubic skip at r={r}"
     assert np.array_equal(r_out.data, np.zeros_like(r_out.data)), f"safe-start gradient map at r={r}"
     assert np.all(np.isfinite(i_out.data))
@@ -524,7 +525,7 @@ def check_network_gradients(rng, n_samples=100, r=2):
 
     def loss():
         i_out, r_out = forward(i_in, r_s, r_c, state, cfg)
-        return objective([(i_out, r_out, Tensor(gt))], lcfg)[0]
+        return objective(i_out, r_out, Tensor(gt), lcfg)[0]
 
     return finite_diff_check(loss, params, n_samples, rng, tol=1e-4)
 
@@ -544,7 +545,7 @@ def dead_parameters(state, cfg, rng, side):
     gt = Tensor(rng.uniform(0, 1, (cfg.r * side, cfg.r * side, 1)))
     with T.Tape() as tape:
         i_out, r_out = forward(i_in, r_s, r_c, state, cfg)
-        loss = objective([(i_out, r_out, gt)])[0]
+        loss = objective(i_out, r_out, gt)[0]
     grads = T.backward(loss, tape)
     params = list(named_parameters(state))
     norms = [float(np.linalg.norm(grads[p])) if p in grads else 0.0 for _, p in params]
@@ -606,7 +607,7 @@ def check_loss_gradients(rng):
     r = Tensor(rng.uniform(0, 1, (12, 12, 1)), requires_grad=True)
 
     def loss():
-        return objective([(a, r, b)])[0]
+        return objective(a, r, b)[0]
 
     for name, t in (("i_out", a), ("r_out", r)):
         finite_diff_check(loss, [(name, t)], 5, rng, tol=1e-4)
@@ -626,7 +627,8 @@ def check_datagen_determinism(rng):
 def check_datagen_preflight(rng):
     cfg = preset("tiny", r=2)
     pair = make_pair(PhantomSpec(seed=1, side=48), 2)
-    cfg.preflight(pair.t2_lr.shape, pair.t2_lr_grad.shape, pair.t1_hr_grad.shape, pair.t2_hr.shape)
+    out = cfg.preflight(pair.t2_lr.shape, pair.t2_lr_grad.shape, pair.t1_hr_grad.shape)
+    objective_extents(out, pair.t2_hr.shape, LossConfig())
     assert np.all(pair.t2_lr >= 0) and np.all(pair.t2_hr <= 1)
     assert np.all(pair.t1_hr_grad >= 1e-3)
 

@@ -94,6 +94,7 @@ def load_container(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     offset = 0
     while offset < len(buf):
+        start = offset
         if offset + 2 > len(buf):
             raise FormatError("truncated entry name length")
         (nlen,) = struct.unpack_from("<H", buf, offset)
@@ -104,7 +105,8 @@ def load_container(path) -> dict[str, np.ndarray]:
             name = buf[offset:offset + nlen].decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"entry name at byte {offset} is not UTF-8") from None
+        if name in out:
+            raise FormatError(f"entry {name!r} at byte {start} repeats an earlier entry")
         offset += nlen
-        arr, offset = _decode(buf, offset)
-        out[name] = arr
+        out[name], offset = _decode(buf, offset)
     return out

@@ -15,7 +15,7 @@ from . import tensor as T
 from .checks import run_all_checks
 from .config import ConfigError, RunConfig, load_config
 from .data import FIELDS, PhantomSpec, generate_dataset, load_field, load_pair, read_manifest
-from .losses import LossConfig, batch_objective, objective, psnr, sample_terms, ssim, ssim_extents
+from .losses import LossConfig, objective, objective_extents, psnr, ssim
 from .model import (count_parameters, forward, init_model, load_state_arrays,
                     named_parameters, preset, state_arrays)
 from .optim import AdamW
@@ -70,13 +70,15 @@ class Diverged(ArithmeticError):
 def train_step(batch, state, mc, lcfg):
     """One step over (sample id, pair) items: (summed parameter gradients, logged terms).
 
-    The gradients are those of the batch total (1/B) sum(L_in + lam L_c) and
-    the logged terms are batch_objective's (total, mean L_in, mean L_c), in
-    sample order.  Raises Diverged, naming the first sample visited whose
+    The batch is the step's own: losses.objective takes one sample.  The
+    gradients are those of the batch total (1/B) sum(L_in + lam L_c).  The
+    logged terms are (total, mean L_in, mean L_c): each mean is summed in
+    sample order from the detached terms, and the total is LossConfig.total
+    of the means.  Raises Diverged, naming the first sample visited whose
     loss is non-finite, before its backward runs.
     """
     share = 1.0 / len(batch)
-    grads, li_terms, lc_terms = {}, [None] * len(batch), [None] * len(batch)
+    grads, terms = {}, [None] * len(batch)
     # Each sample's forward is followed at once by the backward of its share
     # of the batch total.  That backward consumes everything on the tape, and
     # the next sample's first record starts it empty, so the tape holds one
@@ -88,7 +90,7 @@ def train_step(batch, state, mc, lcfg):
     with T.Tape() as tape:
         for k in reversed(range(len(batch))):
             sid, pair = batch[k]
-            total, li, lc = objective([_forward(pair, state, mc)], lcfg)
+            total, li, lc = objective(*_forward(pair, state, mc), lcfg)
             if not np.isfinite(total.item()):
                 raise Diverged(sid)
             for param, g in T.backward(total * share, tape).items():
@@ -96,22 +98,21 @@ def train_step(batch, state, mc, lcfg):
                     np.add(grads[param], g, out=grads[param])
                 else:  # a copy: a closure may return one array for two inputs
                     grads[param] = np.array(g, copy=True)
-            li_terms[k], lc_terms[k] = Tensor(li.data), Tensor(lc.data)
-    return grads, batch_objective(li_terms, lc_terms, lcfg)
+            terms[k] = Tensor(li.data), Tensor(lc.data)
+    li_mean, lc_mean = (share * sum(col[1:], col[0]) for col in zip(*terms))
+    return grads, (lcfg.total(li_mean, lc_mean), li_mean, lc_mean)
 
 
 def cmd_train(cfg: RunConfig):
     ids = read_manifest(cfg.data_dir)
     pairs = [(sid, load_pair(cfg.data_dir, sid)) for sid in ids]
     mc, state = _model(cfg)
+    lcfg = LossConfig(alpha=cfg.alpha, lam=cfg.lam)
     for sid, pair in pairs:  # every sample, before --out is touched
         with _naming(sid):
-            mc.preflight(pair.t2_lr.shape, pair.t2_lr_grad.shape, pair.t1_hr_grad.shape,
-                         pair.t2_hr.shape)
-            if cfg.alpha < 1:  # both loss terms take the SSIM of HR-sized maps
-                ssim_extents(pair.t2_hr.shape)
+            shape = mc.preflight(pair.t2_lr.shape, pair.t2_lr_grad.shape, pair.t1_hr_grad.shape)
+            objective_extents(shape, pair.t2_hr.shape, lcfg)
     out = _out_dir(cfg)
-    lcfg = LossConfig(alpha=cfg.alpha, lam=cfg.lam)
     opt = AdamW(named_parameters(state), lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     ckpt_path = out / "checkpoint.chft"
@@ -165,16 +166,14 @@ def cmd_eval(cfg: RunConfig, checkpoint):
         pair = load_pair(cfg.data_dir, sid)
         with _naming(sid):
             i_out, r_out, gt = _forward(pair, state, mc)
-            li, lc = sample_terms(i_out, r_out, gt, lcfg)
-            # summed at f64 whatever the precision
-            total = batch_objective([Tensor(li.data, dtype=np.float64)],
-                                    [Tensor(lc.data, dtype=np.float64)], lcfg)[0].item()
-            up = bicubic_upsample(pair.t2_lr[:, :, 0].astype(np.float64), cfg.r)[:, :, None]
+            _, li, lc = objective(i_out, r_out, gt, lcfg)
+            li, lc = li.item(), lc.item()  # the total column is summed at f64
+            up = bicubic_upsample(pair.t2_lr.astype(np.float64), cfg.r)
             rows.append([
                 sid,
                 psnr(i_out.data, pair.t2_hr),
                 ssim(Tensor(i_out.data.astype(np.float64)), Tensor(pair.t2_hr)).item(),
-                li.item(), lc.item(), total,
+                li, lc, lcfg.total(li, lc),
                 psnr(up, pair.t2_hr),
                 ssim(Tensor(up), Tensor(pair.t2_hr)).item(),
             ])

@@ -1,17 +1,19 @@
 """Gradient-map operator, SSIM/PSNR metrics, and the training objective.
 
 Both loss terms have the form alpha * MSE - (1 - alpha) * SSIM.  objective,
-the one objective that train, eval and the checks run, is two pieces:
-sample_terms takes both terms of one sample and keeps a term of weight
-exactly 0 off the tape (alpha == 1 drops SSIM, lam == 0 detaches the
-gradient stream); batch_objective averages the terms over a batch and adds
-the gradient-domain term with weight lam.  The losses are built from tape
-primitives, so they can end a recorded tape; the gradient map is numpy data.
+the one objective that train, eval and the checks run, takes one sample and
+returns (L_in + lam L_c, L_in, L_c).  Each of its rules is stated here once:
+objective_extents says which ground truth it takes, LossConfig.total adds
+the terms, and a term of weight exactly 0 stays off the tape (alpha == 1
+drops SSIM, lam == 0 detaches the gradient stream).  Averaging over a batch
+is the train step's.  The losses are built from tape primitives, so they can
+end a recorded tape; the gradient map is numpy data.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,7 +33,11 @@ class LossConfig:
     """The objective's weights; RunConfig takes the alpha and lam defaults from here."""
     alpha: float = 0.95
     lam: float = 0.5
-    epsilon_grad: float = GRAD_EPS
+    epsilon_grad: ClassVar[float] = GRAD_EPS
+
+    def total(self, li, lc):
+        """L_in + lam L_c, of Tensors or of floats."""
+        return li + self.lam * lc
 
 
 def gradient_map(img, eps=GRAD_EPS):
@@ -110,39 +116,24 @@ def loss_c(r_out, r_gt, cfg: LossConfig):
     return _mse_minus_ssim(r_out, r_gt, cfg)
 
 
-def _mean(terms):
-    """Batch mean, summed in sample order; one term is its own mean (x * 1.0 is x)."""
-    if len(terms) == 1:
-        return terms[0]
-    return (1.0 / len(terms)) * sum(terms[1:], terms[0])
+def objective_extents(out, gt, cfg: LossConfig):
+    """Raise ShapeError unless a ground truth of shape gt fits an output of shape out:
+    the shapes are equal and, unless alpha == 1 drops SSIM, span the SSIM window."""
+    if tuple(gt) != tuple(out):
+        raise ShapeError(f"ground truth extents {tuple(gt)} do not match the output's {tuple(out)}")
+    if cfg.alpha != 1.0:
+        ssim_extents(gt)
 
 
-def sample_terms(i_out, r_out, i_gt, cfg: LossConfig):
-    """(L_in, L_c) of one sample, L_c against the gradient map of i_gt.
+def objective(i_out, r_out, i_gt, cfg: LossConfig = LossConfig()):
+    """(L_in + lam L_c, L_in, L_c) of one sample, L_c against the gradient map of i_gt.
 
     At lam == 0, L_c is taken from the detached r_out: weighted by exactly 0
     it would only add zeros to the gradient, so it records no tape node and
     serves the log alone.
     """
-    if i_gt.shape != i_out.shape:
-        raise ShapeError(f"ground truth extents {i_gt.shape} do not match "
-                         f"the output's {i_out.shape}")
+    objective_extents(i_out.shape, i_gt.shape, cfg)
     li = loss_in(i_out, i_gt, cfg)
     r_gt = gradient_map(i_gt, cfg.epsilon_grad)
-    return li, loss_c(r_out if cfg.lam else Tensor(r_out.data), r_gt, cfg)
-
-
-def batch_objective(li_terms, lc_terms, cfg: LossConfig):
-    """(total, mean L_in, mean L_c) of per-sample terms: total = mean L_in + lam * mean L_c."""
-    li_mean, lc_mean = _mean(li_terms), _mean(lc_terms)
-    return li_mean + cfg.lam * lc_mean, li_mean, lc_mean
-
-
-def objective(samples, cfg: LossConfig = LossConfig()):
-    """batch_objective of the sample_terms of (i_out, r_out, i_gt) samples, in sample order."""
-    li_terms, lc_terms = [], []
-    for sample in samples:
-        li, lc = sample_terms(*sample, cfg)
-        li_terms.append(li)
-        lc_terms.append(lc)
-    return batch_objective(li_terms, lc_terms, cfg)
+    lc = loss_c(r_out if cfg.lam else Tensor(r_out.data), r_gt, cfg)
+    return cfg.total(li, lc), li, lc

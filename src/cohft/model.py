@@ -48,12 +48,12 @@ class ModelConfig:
     def inter_cfg(self):
         return AttentionConfig(d=self.d, M=self.M, p=self.p_inter, rho=self.r)
 
-    def preflight(self, lr, lr_grad, guide, gt=None):
-        """Reject a sample the model cannot take, before any compute.
+    def preflight(self, lr, lr_grad, guide):
+        """Reject inputs the model cannot take, before any compute; return the output's shape.
 
         The arguments are shapes: the LR input [h, w, 1], its gradient map
-        [h, w, 1], the guidance gradient map [r h, r w, 1] and, when given,
-        the ground truth, which must equal the output's [r h, r w, 1].
+        [h, w, 1] and the guidance gradient map [r h, r w, 1].  The output
+        is [r h, r w, 1].
         """
         for name, shape, form in (("LR input", lr, "h, w"), ("LR gradient", lr_grad, "h, w"),
                                   ("guidance", guide, "r h, r w")):
@@ -71,9 +71,7 @@ class ModelConfig:
         if tuple(guide[:2]) != (self.r * h, self.r * w):
             raise ShapeError(f"guidance extents {guide[0]}x{guide[1]} "
                              f"do not equal r={self.r} times {h}x{w}")
-        out = (self.r * h, self.r * w, 1)
-        if gt is not None and tuple(gt) != out:
-            raise ShapeError(f"ground truth extents {tuple(gt)} do not match the output's {out}")
+        return self.r * h, self.r * w, 1
 
 
 _PRESETS = {
@@ -321,5 +319,5 @@ def forward(i_in, r_s, r_c, state: ModelState, cfg: ModelConfig):
     f_i, p_i, fc0 = input_gate(i_in, r_s, r_c, state, cfg)
     for stage in state.stages:
         f_i, p_i = stage_forward(f_i, p_i, fc0, stage, cfg)
-    up = bicubic_upsample(i_in.data[:, :, 0], cfg.r)[:, :, None].astype(dtype)
+    up = bicubic_upsample(i_in.data, cfg.r).astype(dtype)
     return output_gate(f_i, p_i, state, cfg.r, Tensor(up))

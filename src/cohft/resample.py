@@ -62,14 +62,10 @@ def degrade(hr, r):
     h, w = hr.shape[:2]
     if h % r or w % r:
         raise ShapeError(f"degrade: extents {h}x{w} not divisible by r={r}")
-    if r == 1:
-        return hr.copy()
     return np.clip(bicubic_resize(hr, h // r, w // r), 0.0, 1.0)
 
 
 def bicubic_upsample(lr, r):
     """Bicubic upsample by integer factor r, clamped to [0, 1]."""
-    if r == 1:
-        return lr.copy()
     h, w = lr.shape[:2]
     return np.clip(bicubic_resize(lr, h * r, w * r), 0.0, 1.0)

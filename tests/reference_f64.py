@@ -55,7 +55,7 @@ def network_case(name, r, side):
     gt = Tensor(rng.uniform(0, 1, (r * side, r * side, 1)))
     with T.Tape() as tape:
         i_out, r_out = forward(i_in, r_s, r_c, state, cfg)
-        total, li, lc = objective([(i_out, r_out, gt)], LossConfig())
+        total, li, lc = objective(i_out, r_out, gt, LossConfig())
     grads = T.backward(total, tape)
     prefix = f"{name}-r{r}/"
     yield prefix + "i_out", i_out.data

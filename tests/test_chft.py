@@ -109,6 +109,15 @@ def test_container_entry_name_not_utf8(tmp_path):
         chft.load_container(path)
 
 
+def test_container_entry_named_twice(tmp_path):
+    # the second "w" starts after the first entry: 2 + 1 name bytes and a 1-D f64 blob of 2
+    path = tmp_path / "m.chft"
+    chft.save_container(path, [("w", np.zeros(2)), ("w", np.ones(3))])
+    at = 2 + 1 + len(chft._encode(np.zeros(2)))
+    with pytest.raises(chft.FormatError, match=f"entry 'w' at byte {at} repeats an earlier entry"):
+        chft.load_container(path)
+
+
 def test_huge_extents_are_truncated_payload(tmp_path):
     # four extents of 2^31, whose element count wraps to 0 in int64, and 8 bytes
     path = tmp_path / "l.chft"

@@ -233,8 +233,11 @@ def test_train_step_gradients_equal_one_batch_tape(tmp_path, dtype, alpha, lam):
     state = init_model(mc, seed=3, dtype=dtype, safe_start=False)
     lcfg = LossConfig(alpha=alpha, lam=lam)
     grads, logged = cli.train_step(batch, state, mc, lcfg)
+    # the reference: one tape over the whole batch, each mean (1/B) sum in sample order
     with T.Tape() as tape:
-        want = objective((cli._forward(pair, state, mc) for _, pair in batch), lcfg)
+        li, lc = zip(*(objective(*cli._forward(pair, state, mc), lcfg)[1:] for _, pair in batch))
+        li_mean, lc_mean = ((1 / len(batch)) * sum(t[1:], t[0]) for t in (li, lc))
+        want = (li_mean + lam * lc_mean, li_mean, lc_mean)
     want_grads = T.backward(want[0], tape)
     assert set(grads) == set(want_grads)
     for name, t in named_parameters(state):
@@ -481,6 +484,17 @@ def test_non_finite_checkpoint_is_one_line_error(tmp_path, capsys):
                  infer_args(data, out, sid)):
         assert_one_line_error(capsys, args, "checkpoint parameter 'head_intensity.w' holds 1 non-finite")
     assert not (out / "metrics.csv").exists() and not (out / "i_out.chft").exists()
+
+
+def test_checkpoint_naming_a_parameter_twice_is_one_line_error(tmp_path, capsys):
+    data, out = gen(tmp_path, samples=1)
+    assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
+    ckpt = out / "checkpoint.chft"
+    entries = list(chft.load_container(ckpt).items())
+    chft.save_container(ckpt, entries + [e for e in entries if e[0] == "head_intensity.w"])
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), "eval", str(ckpt)],
+                          "entry 'head_intensity.w' at byte")
+    assert not (out / "metrics.csv").exists()
 
 
 def test_eval_writes_nan_as_nan(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from scipy.signal import convolve2d
 from cohft.checks import (check_loss_gradients, check_separable_blur_matches_conv2d,
                           finite_diff_check)
 from cohft.losses import (GRAD_EPS, SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, LossConfig,
-                          gradient_map, loss_c, loss_in, mse, objective, psnr, ssim)
+                          gradient_map, loss_c, loss_in, mse, objective, objective_extents, psnr,
+                          ssim)
 from cohft.tensor import ShapeError, Tensor
 
 
@@ -113,9 +115,9 @@ def test_loss_composition():
     r_out = Tensor(rng.uniform(0, 1, (16, 16, 1)))
     li = loss_in(i_out, i_gt, cfg).item()
     lc = loss_c(r_out, gradient_map(i_gt, cfg.epsilon_grad), cfg).item()
-    total, li_mean, lc_mean = (t.item() for t in objective([(i_out, r_out, i_gt)], cfg))
-    assert abs(total - (li + 0.5 * lc)) <= 1e-12
-    assert (li_mean, lc_mean) == (li, lc)
+    total, li_got, lc_got = (t.item() for t in objective(i_out, r_out, i_gt, cfg))
+    assert total == cfg.total(li, lc) == li + 0.5 * lc
+    assert (li_got, lc_got) == (li, lc)
     want_li = 0.95 * mse(i_out, i_gt).item() - 0.05 * ssim(i_out, i_gt).item()
     assert abs(li - want_li) <= 1e-12
 
@@ -133,22 +135,25 @@ def test_total_loss_gradients():
     check_loss_gradients(np.random.default_rng(8))
 
 
-def test_objective_averages_samples_in_order():
-    # two samples: (1/2)(li1 + li2) + lam (1/2)(lc1 + lc2), bit for bit
-    rng = np.random.default_rng(10)
-    cfg = LossConfig(alpha=0.95, lam=0.3)
-    samples = [tuple(Tensor(rng.uniform(0, 1, (16, 16, 1))) for _ in range(3)) for _ in range(2)]
-    li = [loss_in(i_out, i_gt, cfg).data for i_out, _, i_gt in samples]
-    lc = [loss_c(r_out, gradient_map(i_gt, cfg.epsilon_grad), cfg).data for _, r_out, i_gt in samples]
-    want = 0.5 * (li[0] + li[1]) + cfg.lam * (0.5 * (lc[0] + lc[1]))
-    total, li_mean, lc_mean = objective(samples, cfg)
-    assert np.array_equal(total.data, want)
-    assert np.array_equal(li_mean.data, 0.5 * (li[0] + li[1]))
-    assert np.array_equal(lc_mean.data, 0.5 * (lc[0] + lc[1]))
-
-
 def test_objective_rejects_ground_truth_of_other_extents():
     out = Tensor(np.zeros((16, 16, 1)))
     for gt in (np.zeros((8, 8, 1)), np.zeros((1, 16, 1))):  # the second would broadcast
         with pytest.raises(ShapeError, match="ground truth"):
-            objective([(out, out, Tensor(gt))])
+            objective(out, out, Tensor(gt))
+
+
+def test_objective_extents():
+    cfg, pure_mse = LossConfig(), LossConfig(alpha=1.0, lam=0.0)
+    with pytest.raises(ShapeError) as err:
+        objective_extents((24, 24, 1), (1, 48, 1), pure_mse)
+    assert str(err.value) == "ground truth extents (1, 48, 1) do not match the output's (24, 24, 1)"
+    with pytest.raises(ShapeError, match=r"^ssim needs extents >= 11, got 6x6$"):
+        objective_extents((6, 6, 1), (6, 6, 1), cfg)
+    objective_extents((6, 6, 1), (6, 6, 1), pure_mse)  # MSE alone needs no window
+    objective_extents((24, 24, 1), (24, 24, 1), cfg)
+
+
+def test_loss_config_fields():
+    # the weights are the only settable fields; the gradient-map epsilon is a constant
+    assert [f.name for f in dataclasses.fields(LossConfig)] == ["alpha", "lam"]
+    assert LossConfig().epsilon_grad == GRAD_EPS

@@ -39,6 +39,10 @@ def test_upsample_shapes_and_identity_factor():
     assert up.shape == (48, 48)
     assert up.min() >= 0.0 and up.max() <= 1.0
     assert np.array_equal(bicubic_upsample(lr, 1), lr)
+    # out-of-range LR values are clamped at r = 1 as at every other factor
+    lr[1, 1], lr[2, 3] = -0.2, 1.3
+    assert np.array_equal(bicubic_upsample(lr, 1), np.clip(lr, 0.0, 1.0))
+    assert bicubic_upsample(lr, 2).min() >= 0.0 and bicubic_upsample(lr, 2).max() <= 1.0
 
 
 def test_channel_last_passthrough():
