@@ -23,7 +23,8 @@ class FormatError(ValueError):
 
 
 def require_finite(arr, what):
-    """``arr``, or a FormatError naming ``what`` if it holds NaN or inf: the rule for loaded arrays."""
+    """``arr``, or a FormatError naming ``what`` if it holds NaN or inf: the rule for loaded
+    arrays and for infer's outputs."""
     bad = arr.size - np.count_nonzero(np.isfinite(arr))
     if bad:
         raise FormatError(f"{what} holds {bad} non-finite values")

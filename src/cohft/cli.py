@@ -14,7 +14,8 @@ from . import chft
 from . import tensor as T
 from .checks import run_all_checks
 from .config import ConfigError, RunConfig, load_config
-from .data import FIELDS, PhantomSpec, generate_dataset, load_field, load_pair, read_manifest
+from .data import (PhantomSpec, generate_dataset, load_field, load_pair, model_inputs,
+                   read_manifest)
 from .losses import LossConfig, objective, objective_extents, psnr, ssim
 from .model import (count_parameters, forward, init_model, load_state_arrays,
                     named_parameters, preset, state_arrays)
@@ -191,11 +192,13 @@ def cmd_eval(cfg: RunConfig, checkpoint):
     return 0
 
 
-def cmd_infer(cfg: RunConfig, checkpoint, t2_lr_path, t2_lr_grad_path, t1_hr_grad_path):
+def cmd_infer(cfg: RunConfig, checkpoint, t2_lr_path, t1_hr_path):
     mc, state = _load_checkpoint(cfg, checkpoint)
-    i_in, r_s, r_c = (load_field(path, name) for path, name in
-                      zip((t2_lr_path, t2_lr_grad_path, t1_hr_grad_path), FIELDS))
-    i_out, r_out = forward(i_in, r_s, r_c, state, mc)
+    images = load_field(t2_lr_path, "t2_lr"), load_field(t1_hr_path, "t1_hr")
+    with np.errstate(all="ignore"):  # an overflow shows in the outputs, which are checked here
+        i_out, r_out = forward(*model_inputs(*images), state, mc)
+    for name, t in (("i_out", i_out), ("r_out", r_out)):  # refused before anything is written
+        chft.require_finite(t.data, f"output {name}")
     out = _out_dir(cfg)
     chft.save_tensor(out / "i_out.chft", i_out.data)
     chft.save_tensor(out / "r_out.chft", r_out.data)
@@ -234,8 +237,7 @@ def main(argv=None):
     p_infer = sub.add_parser("infer", help="super-resolve one sample")
     p_infer.add_argument("checkpoint")
     p_infer.add_argument("t2_lr")
-    p_infer.add_argument("t2_lr_grad")
-    p_infer.add_argument("t1_hr_grad")
+    p_infer.add_argument("t1_hr")
     sub.add_parser("check", help="run the invariant and gradient verification suite")
     args = parser.parse_args(argv)
 
@@ -253,7 +255,7 @@ def main(argv=None):
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint)
         if args.command == "infer":
-            return cmd_infer(cfg, args.checkpoint, args.t2_lr, args.t2_lr_grad, args.t1_hr_grad)
+            return cmd_infer(cfg, args.checkpoint, args.t2_lr, args.t1_hr)
         if args.command == "check":
             return cmd_check(cfg)
     except (ConfigError, T.ShapeError, chft.FormatError, OSError) as exc:

@@ -2,8 +2,10 @@
 
 Both modalities share one ellipse geometry; their intensities come from two
 independent label-indexed lookup tables, so edges coincide while gray levels
-are unrelated — the prior the cross-modality attention exploits.  Pairs are
-stored as one CHFT file per field plus a plain-text manifest of sample ids.
+are unrelated — the prior the cross-modality attention exploits.  A sample
+is stored as one CHFT file per image of FIELDS plus a plain-text manifest of
+sample ids.  The model's two gradient maps are not stored: model_inputs
+derives them from the images, for gen-data's pairs, loaded pairs and infer.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .losses import gaussian_taps, gradient_map
 from .resample import degrade
 from .tensor import Tensor, separable_blur
 
-FIELDS = ("t2_lr", "t2_lr_grad", "t1_hr_grad", "t2_hr")
+FIELDS = ("t2_lr", "t1_hr", "t2_hr")  # a sample's stored images
 
 
 @dataclass
@@ -34,14 +36,26 @@ class PhantomSpec:
 
 @dataclass
 class TrainingPair:
+    """A sample as the model takes it: forward's image arguments and the ground truth."""
     t2_lr: np.ndarray       # [h, w, 1]
     t2_lr_grad: np.ndarray  # [h, w, 1]
     t1_hr_grad: np.ndarray  # [rh, rw, 1]
     t2_hr: np.ndarray       # [rh, rw, 1]
 
 
-def _grad(img2d):
-    return gradient_map(Tensor(img2d[:, :, None].astype(np.float64))).data
+def model_inputs(t2_lr, t1_hr):
+    """forward's image arguments from the two input images: (t2_lr, its gradient map, t1_hr's).
+
+    Each map is losses.gradient_map of its image at f64.  An array of rank < 2
+    has no map: it stands in for its own, so preflight rejects it by its shape.
+    """
+    maps = (img if img.ndim < 2 else gradient_map(img.astype(np.float64)).data
+            for img in (t2_lr, t1_hr))
+    return (t2_lr, *maps)
+
+
+def _pair(t2_lr, t1_hr, t2_hr) -> TrainingPair:
+    return TrainingPair(*model_inputs(t2_lr, t1_hr), t2_hr)
 
 
 def _gaussian_blur(img2d, sigma):
@@ -79,22 +93,22 @@ def synth_phantom(spec: PhantomSpec):
     return t1_hr, t2_hr
 
 
-def make_pair(spec: PhantomSpec, r: int) -> TrainingPair:
+def sample_images(spec: PhantomSpec, r: int):
+    """One sample's images by FIELDS name, each [.., .., 1]: T2 degraded by r, T1 and T2 at HR."""
     t1_hr, t2_hr = synth_phantom(spec)
-    t2_lr = degrade(t2_hr, r)
-    return TrainingPair(
-        t2_lr=t2_lr[:, :, None],
-        t2_lr_grad=_grad(t2_lr),
-        t1_hr_grad=_grad(t1_hr),
-        t2_hr=t2_hr[:, :, None],
-    )
+    return {"t2_lr": degrade(t2_hr, r)[:, :, None], "t1_hr": t1_hr[:, :, None],
+            "t2_hr": t2_hr[:, :, None]}
 
 
-def save_pair(directory, sample_id, pair: TrainingPair):
+def make_pair(spec: PhantomSpec, r: int) -> TrainingPair:
+    return _pair(**sample_images(spec, r))
+
+
+def save_images(directory, sample_id, images):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name in FIELDS:
-        chft.save_tensor(directory / f"{sample_id}.{name}.chft", getattr(pair, name))
+        chft.save_tensor(directory / f"{sample_id}.{name}.chft", images[name])
 
 
 def load_field(path, name):
@@ -104,7 +118,7 @@ def load_field(path, name):
 
 def load_pair(directory, sample_id) -> TrainingPair:
     directory = Path(directory)
-    return TrainingPair(**{
+    return _pair(**{
         name: load_field(directory / f"{sample_id}.{name}.chft", name) for name in FIELDS
     })
 
@@ -127,7 +141,7 @@ def generate_dataset(directory, n_samples, r, base_spec: PhantomSpec):
     for i in range(n_samples):
         spec = dataclasses.replace(base_spec, seed=base_spec.seed + i)
         sid = f"sample_{spec.seed:05d}"
-        save_pair(directory, sid, make_pair(spec, r))
+        save_images(directory, sid, sample_images(spec, r))
         ids.append(sid)
     write_manifest(directory, ids)
     return ids

@@ -45,9 +45,13 @@ def gradient_map(img, eps=GRAD_EPS):
     numpy that records nothing, as the map is data no gradient flows through."""
     x = (img if isinstance(img, Tensor) else Tensor(img)).data
     dy, dx = np.zeros_like(x), np.zeros_like(x)
-    dy[:-1] = x[1:] - x[:-1]
-    dx[:, :-1] = x[:, 1:] - x[:, :-1]
-    return Tensor(np.sqrt(dx * dx + dy * dy + x.dtype.type(eps)))
+    np.subtract(x[1:], x[:-1], out=dy[:-1])
+    np.subtract(x[:, 1:], x[:, :-1], out=dx[:, :-1])
+    dx *= dx  # in place, in the order of sqrt(dx * dx + dy * dy + eps)
+    dy *= dy
+    dx += dy
+    dx += x.dtype.type(eps)
+    return Tensor(np.sqrt(dx, out=dx))
 
 
 def gaussian_taps(side, sigma):

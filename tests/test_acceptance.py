@@ -106,9 +106,7 @@ def test_safe_start_equivalence(tmp_path):
     chft.save_container(ckpt, state_arrays(state))
     sid = read_manifest(data)[0]
     assert cli.main(["--set", "precision=f64", "--out", str(out), "infer", str(ckpt),
-                     str(data / f"{sid}.t2_lr.chft"),
-                     str(data / f"{sid}.t2_lr_grad.chft"),
-                     str(data / f"{sid}.t1_hr_grad.chft")]) == 0
+                     str(data / f"{sid}.t2_lr.chft"), str(data / f"{sid}.t1_hr.chft")]) == 0
     pair = load_pair(data, sid)
     up = bicubic_upsample(pair.t2_lr[:, :, 0], 2)[:, :, None]
     assert np.array_equal(chft.load_tensor(out / "i_out.chft"), up)
@@ -140,29 +138,37 @@ def test_safe_start_equivalence(tmp_path):
 
 
 def test_toy_training_improves_over_bicubic(tmp_path):
-    # tiny preset, 8 synthetic 48 -> 96 pairs, 200 steps on a single CPU thread
+    # tiny preset, 8 synthetic 48 -> 96 pairs, 200 steps on a single CPU thread; scored on
+    # the training set and on 8 held-out phantoms from disjoint seeds
     src = str(Path(cohft.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         env[key] = "1"
-    data = tmp_path / "data"
     out = tmp_path / "out"
-    base = [sys.executable, "-m", "cohft.cli",
-            "--set", f"data_dir={data}", "--out", str(out), "--seed", "0"]
     recipe = ["--set", "blur_sigma=0.6", "--set", "lr=3e-3",
               "--set", "alpha=1.0", "--set", "lam=0.0", "--set", "batch_size=4"]
 
-    run = subprocess.run(base + recipe + ["--set", "samples=8", "--set", "side=96",
-                                          "gen-data"], env=env, capture_output=True)
-    assert run.returncode == 0, run.stderr.decode()
+    def cohft_run(data, seed, *args):
+        run = subprocess.run([sys.executable, "-m", "cohft.cli", "--set", f"data_dir={data}",
+                              "--out", str(out), "--seed", str(seed), *recipe, *args],
+                             env=env, capture_output=True)
+        assert run.returncode == 0, run.stderr.decode()
+
+    def mean_psnr(data):
+        cohft_run(data, 0, "eval", str(out / "checkpoint.chft"))
+        with open(out / "metrics.csv") as f:
+            metrics = list(csv.DictReader(f))
+        return tuple(np.mean([float(r[key]) for r in metrics]) for key in ("psnr_db", "psnr_bicubic"))
+
+    data, held_out = tmp_path / "data", tmp_path / "held_out"
+    for where, seed in ((data, 0), (held_out, 100)):
+        cohft_run(where, seed, "--set", "samples=8", "--set", "side=96", "gen-data")
 
     start = time.time()
-    run = subprocess.run(base + recipe + ["--set", "steps=200", "train"],
-                         env=env, capture_output=True)
+    cohft_run(data, 0, "--set", "steps=200", "train")
     train_time = time.time() - start
-    assert run.returncode == 0, run.stderr.decode()
     assert train_time <= 600.0, f"training took {train_time:.0f}s"
 
     with open(out / "train_log.csv") as f:
@@ -171,15 +177,10 @@ def test_toy_training_improves_over_bicubic(tmp_path):
     first, last = float(rows[0]["total"]), float(rows[-1]["total"])
     assert last < 0.5 * first, f"loss went {first:.6f} -> {last:.6f}"
 
-    run = subprocess.run(base + recipe + ["eval", str(out / "checkpoint.chft")],
-                         env=env, capture_output=True)
-    assert run.returncode == 0, run.stderr.decode()
-    with open(out / "metrics.csv") as f:
-        metrics = list(csv.DictReader(f))
-    model_psnr = np.mean([float(r["psnr_db"]) for r in metrics])
-    bicubic_psnr = np.mean([float(r["psnr_bicubic"]) for r in metrics])
-    assert model_psnr >= bicubic_psnr + 1.0, \
-        f"model {model_psnr:.3f} dB vs bicubic {bicubic_psnr:.3f} dB"
+    for where in (data, held_out):
+        model_psnr, bicubic_psnr = mean_psnr(where)
+        assert model_psnr >= bicubic_psnr + 1.0, \
+            f"{where.name}: model {model_psnr:.3f} dB vs bicubic {bicubic_psnr:.3f} dB"
 
 
 def test_ablation_liveness():

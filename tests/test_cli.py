@@ -1,11 +1,13 @@
 import ast
 import csv
 import os
+import shlex
 import struct
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -15,7 +17,8 @@ import pytest
 import cohft
 from cohft import chft, cli
 from cohft import tensor as T
-from cohft.data import PhantomSpec, load_pair, make_pair, read_manifest, save_pair, write_manifest
+from cohft.data import (PhantomSpec, load_pair, read_manifest, sample_images, save_images,
+                        write_manifest)
 from cohft.losses import LossConfig, gradient_map, loss_c, objective, ssim
 from cohft.model import init_model, named_parameters, preset, state_arrays
 from cohft.resample import bicubic_upsample
@@ -187,8 +190,7 @@ def test_infer_safe_start_equals_bicubic(tmp_path):
     rc = run(["--set", "precision=f64", "--out", str(out), "infer",
               str(out / "checkpoint.chft"),
               str(data / f"{sid}.t2_lr.chft"),
-              str(data / f"{sid}.t2_lr_grad.chft"),
-              str(data / f"{sid}.t1_hr_grad.chft")])
+              str(data / f"{sid}.t1_hr.chft")])
     assert rc == 0
     i_out = chft.load_tensor(out / "i_out.chft")
     r_out = chft.load_tensor(out / "r_out.chft")
@@ -287,6 +289,19 @@ def test_train_step_memory_does_not_grow_with_batch(tmp_path):
     assert peaks[4] < 1.5 * peaks[1], peaks
 
 
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
+    # every command of the README's Quick start, made small by overrides before its subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start\n", 1)[1].split("```\n")[1].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line and not line.startswith("#")]
+    assert [argv[0] for argv in commands] == ["cohft"] * 5, commands
+    small = ["--set", "samples=2", "--set", "side=24", "--set", "steps=2", "--set", "batch_size=2"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        at = next(i for i, arg in enumerate(argv) if arg in ("gen-data", "train", "eval", "infer", "check"))
+        assert run(argv[1:at] + small + argv[at:]) == 0, argv
+
+
 def test_check_command_passes(tmp_path, capsys):
     rc = run(["--out", str(tmp_path / "out"), "check"])
     out = capsys.readouterr().out
@@ -331,7 +346,7 @@ def assert_one_line_error(capsys, args, needle):
     (["--set", "ellipses_max=-3", "gen-data"], "ellipses_max must be at least 0, got -3"),
     *((["--seed", "-1", *command], "seed must be at least 0, got -1")
       for command in (["gen-data"], ["train"], ["check"], ["eval", "ckpt.chft"],
-                      ["infer", "ckpt.chft", "a.chft", "b.chft", "c.chft"])),
+                      ["infer", "ckpt.chft", "a.chft", "b.chft"])),
 ])
 def test_bad_config_is_one_line_error(tmp_path, capsys, args, needle):
     # rejected as the configuration loads: gen-data writes no sample, train no run
@@ -381,7 +396,7 @@ def infer_args(data, out, sid, **paths):
     """Arguments of `cohft infer` on one sample; ``paths`` replaces some of its images."""
     return ["--set", f"data_dir={data}", "--out", str(out), "infer", str(out / "checkpoint.chft"),
             *(str(paths.get(field, data / f"{sid}.{field}.chft"))
-              for field in ("t2_lr", "t2_lr_grad", "t1_hr_grad"))]
+              for field in ("t2_lr", "t1_hr"))]
 
 
 def test_non_finite_input_is_one_line_error(tmp_path, capsys):
@@ -393,23 +408,43 @@ def test_non_finite_input_is_one_line_error(tmp_path, capsys):
     assert_one_line_error(capsys, infer_args(data, out, sid, t2_lr=nan_lr),
                           "t2_lr " + str(nan_lr) + " holds 144 non-finite values")
     assert not (out / "i_out.chft").exists()
-    # an infinite guidance pixel in the dataset stops train and eval alike
-    guide = chft.load_tensor(data / f"{sid}.t1_hr_grad.chft")
+    # an infinite T1 pixel in the dataset stops train and eval alike
+    path = data / f"{sid}.t1_hr.chft"
+    guide = chft.load_tensor(path)
     guide[3, 5, 0] = np.inf
-    chft.save_tensor(data / f"{sid}.t1_hr_grad.chft", guide)
+    chft.save_tensor(path, guide)
     for command in (["train"], ["eval", str(out / "checkpoint.chft")]):
         assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), *command],
-                              "t1_hr_grad " + str(data / f"{sid}.t1_hr_grad.chft") + " holds 1 non-finite")
+                              "t1_hr " + str(path) + " holds 1 non-finite")
 
 
-def test_mismatched_lr_gradient_is_one_line_error(tmp_path, capsys):
+def test_infer_refuses_non_finite_outputs(tmp_path, capsys):
+    # a finite LR image scaled by 1e20 overflows the safe-start network to NaN everywhere
     data, out = gen(tmp_path, samples=1)
     assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
     (sid,) = read_manifest(data)
-    small = tmp_path / "small.t2_lr_grad.chft"
-    chft.save_tensor(small, np.zeros((10, 10, 1), dtype=np.float32))
-    assert_one_line_error(capsys, infer_args(data, out, sid, t2_lr_grad=small),
-                          "LR gradient extents 10x10 do not equal the LR input's 12x12")
+    huge = tmp_path / "huge.t2_lr.chft"
+    chft.save_tensor(huge, 1e20 * chft.load_tensor(data / f"{sid}.t2_lr.chft"))
+    echo = (out / "config_echo.txt").read_bytes()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_one_line_error(capsys, infer_args(data, out, sid, t2_lr=huge),
+                              "output i_out holds 576 non-finite values")
+    assert not caught, [str(w.message) for w in caught]  # numpy's warnings would print first
+    assert not (out / "i_out.chft").exists() and not (out / "r_out.chft").exists()
+    assert (out / "config_echo.txt").read_bytes() == echo
+
+
+def test_dataset_of_stored_gradient_maps_is_one_line_error(tmp_path, capsys):
+    # the old layout stored both maps and no T1 image; the maps are derived now, and never read
+    data, out = gen(tmp_path, samples=1)
+    (sid,) = read_manifest(data)
+    pair = load_pair(data, sid)
+    for field in ("t2_lr_grad", "t1_hr_grad"):
+        chft.save_tensor(data / f"{sid}.{field}.chft", getattr(pair, field))
+    (data / f"{sid}.t1_hr.chft").unlink()
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), "train"],
+                          f"{sid}.t1_hr.chft")
 
 
 @pytest.mark.parametrize("rows, cols", [(12, 12), (1, 24)])
@@ -433,7 +468,7 @@ def test_ground_truth_of_other_extents_is_one_line_error(tmp_path, capsys, rows,
 def test_bad_sample_anywhere_stops_train_before_it_writes(tmp_path, capsys):
     # the fifth sample's 10 px LR side is not divisible by the tiny preset's g=3
     data, _ = gen(tmp_path, samples=4)
-    save_pair(data, "sample_odd", make_pair(PhantomSpec(seed=9, side=20), 2))
+    save_images(data, "sample_odd", sample_images(PhantomSpec(seed=9, side=20), 2))
     write_manifest(data, read_manifest(data) + ["sample_odd"])
     out = tmp_path / "run"
     assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--set", "steps=2", "--out", str(out),
@@ -445,9 +480,12 @@ def test_bad_sample_anywhere_stops_train_before_it_writes(tmp_path, capsys):
     ("t2_lr", lambda a: a[:, :, 0], "LR input must be [h, w, 1], got shape (12, 12)"),
     ("t2_lr", lambda a: np.concatenate([a, a], axis=2),
      "LR input must be [h, w, 1], got shape (12, 12, 2)"),
-    ("t1_hr_grad", lambda a: np.concatenate([a, a], axis=2),
+    ("t1_hr", lambda a: np.concatenate([a, a], axis=2),
      "guidance must be [r h, r w, 1], got shape (24, 24, 2)"),
-], ids=["lr-2d", "lr-2-channels", "guidance-2-channels"])
+    # an image of rank 1 has no gradient map: the guidance is rejected by its shape
+    ("t2_lr", np.ravel, "LR input must be [h, w, 1], got shape (144,)"),
+    ("t1_hr", np.ravel, "guidance must be [r h, r w, 1], got shape (576,)"),
+], ids=["lr-2d", "lr-2-channels", "guidance-2-channels", "lr-1d", "guidance-1d"])
 def test_image_of_other_rank_or_channels_is_one_line_error(tmp_path, capsys, field, reshape, needle):
     # the second of two samples is bad; an earlier run in --out stays whole
     data, out = gen(tmp_path, samples=2)
@@ -457,7 +495,9 @@ def test_image_of_other_rank_or_channels_is_one_line_error(tmp_path, capsys, fie
     chft.save_tensor(path, reshape(chft.load_tensor(path)))
     names = ("train_log.csv", "checkpoint.chft", "config_echo.txt")
     before = [(out / name).read_bytes() for name in names]
-    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), "train"], needle)
+    for command in (["train"], ["eval", str(out / "checkpoint.chft")]):
+        assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), *command],
+                              f"{sid}: {needle}")
     assert [(out / name).read_bytes() for name in names] == before
     assert_one_line_error(capsys, infer_args(data, out, sid), needle)
     assert not (out / "i_out.chft").exists()
@@ -657,8 +697,7 @@ def test_train_eval_infer_load_no_scipy(tmp_path):
         assert cli.main(common + ["--set", "samples=2", "--set", "side=24", "--seed", "0", "gen-data"]) == 0
         assert cli.main(common + ["--set", "steps=2", "--set", "batch_size=2", "train"]) == 0
         assert cli.main(common + ["eval", ckpt]) == 0
-        assert cli.main(common + ["infer", ckpt, *(f"{sample}.{field}.chft"
-                                                   for field in ("t2_lr", "t2_lr_grad", "t1_hr_grad"))]) == 0
+        assert cli.main(common + ["infer", ckpt, f"{sample}.t2_lr.chft", f"{sample}.t1_hr.chft"]) == 0
         print(sorted(name for name in sys.modules if name.startswith("scipy")))
     """)
     runs = subprocess.run([sys.executable, "-c", code, str(data), str(out)],

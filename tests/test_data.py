@@ -1,10 +1,11 @@
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from cohft import chft
 from cohft.checks import check_datagen_determinism
 from cohft.data import (FIELDS, PhantomSpec, TrainingPair, _gaussian_blur, generate_dataset,
-                        load_pair, make_pair, read_manifest, save_pair, synth_phantom,
-                        write_manifest)
+                        load_pair, make_pair, read_manifest, sample_images, save_images,
+                        synth_phantom, write_manifest)
 from cohft.losses import gradient_map
 from cohft.resample import degrade
 from cohft.tensor import Tensor
@@ -59,11 +60,12 @@ def test_pair_fields_are_consistent():
 
 
 def test_pair_roundtrip(tmp_path):
-    pair = make_pair(PhantomSpec(seed=9, side=24), 2)
-    save_pair(tmp_path, "s0", pair)
-    back = load_pair(tmp_path, "s0")
-    for name in FIELDS:
-        assert np.array_equal(getattr(back, name), getattr(pair, name))
+    # a saved sample loads as the pair make_pair builds, gradient maps included
+    spec = PhantomSpec(seed=9, side=24)
+    save_images(tmp_path, "s0", sample_images(spec, 2))
+    back, pair = load_pair(tmp_path, "s0"), make_pair(spec, 2)
+    for name in ("t2_lr", "t2_lr_grad", "t1_hr_grad", "t2_hr"):
+        assert np.array_equal(getattr(back, name), getattr(pair, name)), name
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -77,7 +79,14 @@ def test_generate_dataset(tmp_path):
     ids = generate_dataset(tmp_path, 3, 2, spec)
     assert ids == ["sample_00007", "sample_00008", "sample_00009"]
     assert read_manifest(tmp_path) == ids
+    # a sample is its three images; the gradient maps are derived from them as they load
+    assert FIELDS == ("t2_lr", "t1_hr", "t2_hr")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["manifest.txt"] + [f"{sid}.{name}.chft" for sid in ids for name in FIELDS])
     for sid in ids:
         pair = load_pair(tmp_path, sid)
         assert isinstance(pair, TrainingPair)
         assert pair.t2_lr.shape == (12, 12, 1)
+        for grad, image in (("t2_lr_grad", "t2_lr"), ("t1_hr_grad", "t1_hr")):
+            stored = chft.load_tensor(tmp_path / f"{sid}.{image}.chft")
+            assert np.array_equal(getattr(pair, grad), gradient_map(stored).data), grad
