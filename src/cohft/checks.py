@@ -182,6 +182,23 @@ def check_primitive_gradients(rng):
     assert len(strips) > 1, f"the banded attend case spans {len(strips)} strip"
     for name, t in (("q", qb), ("k", kb), ("v", vb)):
         finite_diff_check(lambda: T.tsum(T.attend(qb, kb, vb) * wb), [(name, t)], 4, rng, tol=1e-5)
+    # one-channel strips accumulate channel-major (_tap_sum): the c_in = 1
+    # forward and the c_out = 1 input gradient, each on a map of two strips
+    for c_in, c_out in ((1, 4), (4, 1)):
+        xo = Tensor(rng.standard_normal((40, 200, c_in)), requires_grad=True)
+        wo = Tensor(rng.standard_normal((3, 3, c_in, c_out)), requires_grad=True)
+        bo = Tensor(rng.standard_normal(c_out), requires_grad=True)
+        strips, _ = T._strips(1, 40, 3, 202 * (c_in + c_out) * xo.data.itemsize)
+        assert len(strips) == 2, f"the one-channel case spans {len(strips)} strips"
+        finite_diff_check(lambda: T.tsum(T.square(T.conv2d(xo, wo, bo))),
+                          [("x", xo), ("w", wo), ("b", bo)], 4, rng, tol=1e-5)
+    # attend on rows of 9 keys: the row max and updates go by columns
+    # (_row_update), the row sums stay numpy's
+    q9, k9, v9 = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in ((3, 5, 4), (3, 9, 4), (3, 9, 2)))
+    w9 = Tensor(rng.standard_normal((3, 5, 2)))
+    for name, t in (("q", q9), ("k", k9), ("v", v9)):
+        finite_diff_check(lambda: T.tsum(T.attend(q9, k9, v9) * w9), [(name, t)], 4, rng, tol=1e-5)
 
 
 def check_tape_contract(rng):

@@ -14,8 +14,7 @@ from . import chft
 from . import tensor as T
 from .checks import run_all_checks
 from .config import ConfigError, RunConfig, load_config
-from .data import (PhantomSpec, generate_dataset, load_field, load_pair, model_inputs,
-                   read_manifest)
+from .data import PhantomSpec, generate_dataset, load_inputs, load_pair, read_manifest
 from .losses import LossConfig, objective, objective_extents, psnr, ssim
 from .model import (count_parameters, forward, init_model, load_state_arrays,
                     named_parameters, preset, state_arrays)
@@ -194,9 +193,9 @@ def cmd_eval(cfg: RunConfig, checkpoint):
 
 def cmd_infer(cfg: RunConfig, checkpoint, t2_lr_path, t1_hr_path):
     mc, state = _load_checkpoint(cfg, checkpoint)
-    images = load_field(t2_lr_path, "t2_lr"), load_field(t1_hr_path, "t1_hr")
+    inputs = load_inputs(t2_lr_path, t1_hr_path)
     with np.errstate(all="ignore"):  # an overflow shows in the outputs, which are checked here
-        i_out, r_out = forward(*model_inputs(*images), state, mc)
+        i_out, r_out = forward(*inputs, state, mc)
     for name, t in (("i_out", i_out), ("r_out", r_out)):  # refused before anything is written
         chft.require_finite(t.data, f"output {name}")
     out = _out_dir(cfg)

@@ -43,15 +43,22 @@ class TrainingPair:
     t2_hr: np.ndarray       # [rh, rw, 1]
 
 
-def model_inputs(t2_lr, t1_hr):
+def model_inputs(t2_lr, t1_hr, names=FIELDS[:2]):
     """forward's image arguments from the two input images: (t2_lr, its gradient map, t1_hr's).
 
-    Each map is losses.gradient_map of its image at f64.  An array of rank < 2
-    has no map: it stands in for its own, so preflight rejects it by its shape.
+    Each map is losses.gradient_map of its image at f64.  A finite image above
+    about 1e154 squares to an infinite map: that is a FormatError naming the
+    image by its entry in ``names``.  An array of rank < 2 has no map: it
+    stands in for its own, so preflight rejects it by its shape.
     """
-    maps = (img if img.ndim < 2 else gradient_map(img.astype(np.float64)).data
-            for img in (t2_lr, t1_hr))
-    return (t2_lr, *maps)
+    def derived(img, name):
+        if img.ndim < 2:
+            return img
+        with np.errstate(over="ignore"):  # an overflow is refused just below, by name
+            grad = gradient_map(img.astype(np.float64)).data
+        return chft.require_finite(grad, f"gradient map of {name}")
+
+    return (t2_lr, *map(derived, (t2_lr, t1_hr), names))
 
 
 def _pair(t2_lr, t1_hr, t2_hr) -> TrainingPair:
@@ -116,11 +123,16 @@ def load_field(path, name):
     return chft.require_finite(chft.load_tensor(path), f"{name} {path}")
 
 
+def load_inputs(t2_lr_path, t1_hr_path):
+    """model_inputs of the two input images' files; each map is named as its image is."""
+    paths = dict(zip(FIELDS, (t2_lr_path, t1_hr_path)))
+    return model_inputs(*(load_field(path, name) for name, path in paths.items()),
+                        names=tuple(f"{name} {path}" for name, path in paths.items()))
+
+
 def load_pair(directory, sample_id) -> TrainingPair:
-    directory = Path(directory)
-    return _pair(**{
-        name: load_field(directory / f"{sample_id}.{name}.chft", name) for name in FIELDS
-    })
+    t2_lr, t1_hr, t2_hr = (Path(directory) / f"{sample_id}.{name}.chft" for name in FIELDS)
+    return TrainingPair(*load_inputs(t2_lr, t1_hr), load_field(t2_hr, "t2_hr"))
 
 
 def write_manifest(directory, sample_ids):

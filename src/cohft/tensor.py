@@ -493,6 +493,33 @@ def einsum(subscripts, a, b):
 # attention and normalization
 
 
+# the max of a row of at most this many entries is taken, and the row updated,
+# column by column: along so short a last axis numpy runs one loop per row
+_SHORT_ROW = 16
+
+
+def _row_update(op, s, reduce, src):
+    """``op(s, r, out=s)`` with r each last-axis row of ``src`` reduced by
+    ``reduce`` (np.maximum or np.add): bit for bit numpy's
+    ``op(s, reduce.reduce(src, axis=-1, keepdims=True), out=s)``.
+
+    Short rows go column by column, so every pass runs across the rows: a max
+    of at most ``_SHORT_ROW`` entries, as the max and the elementwise op are
+    exact in any order, and a sum of fewer than 8, as numpy's pairwise sum adds
+    such a row in order.  Other rows keep numpy's reduce and broadcast.
+    """
+    n = src.shape[-1]
+    if n > _SHORT_ROW or (reduce is np.add and n >= 8):
+        op(s, reduce.reduce(src, axis=-1, keepdims=True), out=s)
+        return
+    # a sum starts from 0, as numpy's does: a row of -0 sums to +0
+    r = src[..., 0] + 0 if reduce is np.add else src[..., 0].copy()
+    for j in range(1, n):
+        reduce(r, src[..., j], out=r)
+    for j in range(n):
+        op(s[..., j], r, out=s[..., j])
+
+
 def attend(q, k, v):
     """softmax(q k^T) v over the last two axes: q [.., N, e], k [.., N', e], v [.., N', f].
 
@@ -502,8 +529,10 @@ def attend(q, k, v):
     dS = dO V^T, dL = S (dS - rowsum(dS S)), dQ = dL K, dK = dL^T Q.  After
     dV, S's buffer turns into dL in place, and dS exists one strip of rows at
     a time (``_strips``, within ``_STRIP_BYTES``), so the backward adds no
-    [.., N, N'] array.  Inputs are recorded as (v, q, k): one tensor passed
-    as all three sums dV + dQ + dK.
+    [.., N, N'] array.  Every row max, row sum and row-wise subtract or divide
+    goes through ``_row_update``: rows of a few keys (a 3x3 window, the
+    inter-head remix) run column by column, with numpy's bits.  Inputs are
+    recorded as (v, q, k): one tensor passed as all three sums dV + dQ + dK.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim < 2 or kd.ndim != qd.ndim or vd.shape[:-1] != kd.shape[:-1] \
@@ -514,9 +543,9 @@ def attend(q, k, v):
     # not, and the backward's [B, N, N'] view of it would be a copy
     s = np.matmul(qd, kd.swapaxes(-1, -2), out=np.empty(qd.shape[:-1] + kd.shape[-2:-1],
                                                         dtype=np.result_type(qd, kd)))
-    s -= s.max(axis=-1, keepdims=True)
+    _row_update(np.subtract, s, np.maximum, s)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    _row_update(np.divide, s, np.add, s)
 
     def bw(g):
         dv = np.matmul(s.swapaxes(-1, -2), g)
@@ -528,7 +557,7 @@ def attend(q, k, v):
         for b0, b1, y0, y1 in strips:
             ds = buf[:(b1 - b0) * (y1 - y0) * n2].reshape(b1 - b0, y1 - y0, n2)
             np.matmul(gf[b0:b1, y0:y1], vf[b0:b1].swapaxes(-1, -2), out=ds)
-            np.subtract(ds, (ds * sf[b0:b1, y0:y1]).sum(axis=-1, keepdims=True), out=ds)
+            _row_update(np.subtract, ds, np.add, ds * sf[b0:b1, y0:y1])
             sf[b0:b1, y0:y1] *= ds
         # s now holds dL.  dK as (Q^T dL)^T: BLAS sums dL^T Q in another order,
         # which moves the last bits
@@ -646,21 +675,34 @@ def _tap_sum(xf, taps, strip, w, k, acc, part):
     scratch.  Returns the strip's valid outputs, a view of ``acc``.
 
     The strip's last (k - 1)(wp + 1) rows hold no valid output and are left out.
+
+    A one-channel strip (a c_in = 1 forward, a c_out = 1 input gradient) makes
+    one-column GEMMs: each tap is an outer product, one rounded product per
+    entry.  Those accumulate channel-major, in [c, n] views of ``acc``'s and
+    ``part``'s memory, so every multiply and add runs along the strip rather
+    than one c-entry inner loop per pixel, and the same bits come back as a
+    strided view.
     """
     b0, b1, y0, y1 = strip
     wp = w + k - 1
     n = len(xf) - (k - 1) * (wp + 1)
-    # a one-column GEMM is one rounded product per entry: a broadcast multiply
-    # gives the same bits without BLAS's K = 1 path
-    product = np.multiply if xf.shape[1] == 1 else np.matmul
+    c = acc.shape[1]
+    one = xf.shape[1] == 1
+    dst, tmp = ((a.reshape(-1)[:c * n].reshape(c, n) for a in (acc, part)) if one
+                else (acc[:n], part[:n]))
     for t, (i, j, wt) in enumerate(taps):
         off = i * wp + j
-        if t:
-            product(xf[off:off + n], wt, out=part[:n])
-            acc[:n] += part[:n]
+        if one:
+            np.multiply(wt.T, xf[off:off + n, 0], out=tmp if t else dst)
         else:
-            product(xf[off:off + n], wt, out=acc[:n])
-    return acc[:len(xf)].reshape(b1 - b0, -1, wp, acc.shape[1])[:, :y1 - y0, :w]
+            np.matmul(xf[off:off + n], wt, out=tmp if t else dst)
+        if t:
+            dst += tmp
+    if one:  # output (b, y, x) of channel ch sits at dst[ch, (b hp + y) wp + x], below n
+        hp, s = y1 - y0 + k - 1, dst.itemsize
+        return np.lib.stride_tricks.as_strided(dst, (b1 - b0, y1 - y0, w, c),
+                                               (hp * wp * s, wp * s, s, n * s), writeable=False)
+    return acc[:len(xf)].reshape(b1 - b0, -1, wp, c)[:, :y1 - y0, :w]
 
 
 def conv2d(xs, weights, bias):

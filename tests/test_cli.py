@@ -435,6 +435,28 @@ def test_infer_refuses_non_finite_outputs(tmp_path, capsys):
     assert (out / "config_echo.txt").read_bytes() == echo
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "infer"])
+def test_overflowing_gradient_map_is_one_line_error(tmp_path, capsys, command):
+    # a finite T1 image x 1e200 squares its differences to inf: refused by name, before --out
+    data, out = gen(tmp_path, samples=2)
+    assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
+    sid = read_manifest(data)[1]
+    path = data / f"{sid}.t1_hr.chft"
+    huge = 1e200 * chft.load_tensor(path)
+    assert np.isfinite(huge).all()
+    chft.save_tensor(path, huge)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    args = {"train": ["--set", f"data_dir={data}", "--out", str(out), "train"],
+            "eval": ["--set", f"data_dir={data}", "--out", str(out), "eval",
+                     str(out / "checkpoint.chft")],
+            "infer": infer_args(data, out, sid)}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_one_line_error(capsys, args, f"gradient map of t1_hr {path} holds ")
+    assert not caught, [str(w.message) for w in caught]  # numpy's warnings would print first
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_dataset_of_stored_gradient_maps_is_one_line_error(tmp_path, capsys):
     # the old layout stored both maps and no T1 image; the maps are derived now, and never read
     data, out = gen(tmp_path, samples=1)

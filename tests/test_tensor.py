@@ -556,6 +556,68 @@ def test_attend_backward_scratch_is_one_strip():
         assert peak < bound, (shape, peak, bound)
 
 
+@settings(max_examples=60)
+@given(one=st.sampled_from(["c_in", "c_out"]), c=st.integers(1, 5), k=st.sampled_from([1, 3, 5]),
+       dtype=st.sampled_from([np.float32, np.float64]), lead=st.sampled_from([(), (1,), (3,)]),
+       h=st.integers(1, 9), w=st.integers(1, 7), budget=st.sampled_from(sorted(STRIP_BUDGETS)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_channel_conv2d_matches_scipy_correlate(one, c, k, dtype, lead, h, w, budget, seed):
+    # a c_in = 1 forward and a c_out = 1 input gradient run on one-channel
+    # strips; with the strip budget cut to a few rows or images, one call
+    # walks many strips, halo rows and uneven last strips included
+    from scipy.signal import convolve, correlate
+    rng = np.random.default_rng(seed)
+    c_in, c_out = (1, c) if one == "c_in" else (c, 1)
+    x = Tensor(rng.standard_normal(lead + (h, w, c_in)).astype(dtype), requires_grad=True)
+    wt = Tensor(rng.standard_normal((k, k, c_in, c_out)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.standard_normal(c_out).astype(dtype), requires_grad=True)
+    g = rng.standard_normal(lead + (h, w, c_out)).astype(dtype)
+    row = (w + k - 1) * (c_in + c_out) * np.dtype(dtype).itemsize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_STRIP_BYTES", STRIP_BUDGETS[budget](h, row, k - 1))
+        with Tape() as tape:
+            out = T.conv2d(x, wt, b)
+        dx = tape.nodes[0].backward_fn(g)[0]
+    xs, gs = (a.reshape((-1, h, w, a.shape[-1])).astype(np.float64) for a in (x.data, g))
+    w64 = wt.data.astype(np.float64)
+    # "same" correlation of the odd kernel; its adjoint is the "same" convolution
+    want = np.stack([[sum(correlate(xi[..., ci], w64[..., ci, co], mode="same") for ci in range(c_in))
+                      + b.data[co] for co in range(c_out)] for xi in xs])
+    want_dx = np.stack([[sum(convolve(gi[..., co], w64[..., ci, co], mode="same") for co in range(c_out))
+                         for ci in range(c_in)] for gi in gs])
+    assert out.dtype == dtype and dx.dtype == dtype
+    for got, ref in ((out.data, want), (dx, want_dx)):
+        got = got.reshape((-1, h, w, ref.shape[1])).transpose(0, 3, 1, 2)
+        assert np.allclose(got, ref, rtol=0, atol=CONV_TOL[dtype])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_short_softmax_rows_are_numpy_bit_for_bit(dtype):
+    # attend's row max, row sum, subtract and divide (_row_update) against
+    # numpy's reduce and broadcast, for every row length by columns and past
+    # them, with the entries that decide signs and NaNs: every bit, sign bits too
+    rng = np.random.default_rng(28)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype)
+    bits = f"u{np.dtype(dtype).itemsize}"
+
+    def take(_, r, out):  # writes each row's r over the row, to read r itself
+        out[...] = r
+
+    with np.errstate(all="ignore"):
+        for n in range(1, 21):
+            s = rng.standard_normal((3, 50, n)).astype(dtype)
+            mask = rng.random(s.shape) < 0.3
+            s[mask] = rng.choice(special, mask.sum())
+            s[:, 0] = -0.0  # rows of -0: numpy's sum is +0, the max -0
+            s[:, 1] = np.where(np.arange(n) % 2, 0.0, -0.0)
+            for reduce, r in ((np.maximum, s.max(-1, keepdims=True)), (np.add, s.sum(-1, keepdims=True))):
+                for op, want in ((take, np.broadcast_to(r, s.shape)), (np.subtract, s - r),
+                                 (np.divide, s / r)):
+                    got = s.copy()
+                    T._row_update(op, got, reduce, s)
+                    assert np.array_equal(got.view(bits), want.view(bits)), (n, reduce, op)
+
+
 @given(h=st.integers(11, 40), w=st.integers(11, 40), c=st.integers(1, 5),
        lead=st.sampled_from([(), (1,), (3,)]), seed=st.integers(0, 2 ** 32 - 1))
 def test_separable_blur_matches_conv2d_property(h, w, c, lead, seed):
