@@ -266,21 +266,37 @@ def check_erf_matches_math_erf(rng):
 
     A grid on [-10, 10] plus the edges: signed zero, the smallest subnormal,
     1e-8, the branch point 1 and the clamp point 8 with their neighbours,
-    +-30, +-inf and NaN.
+    +-30, +-inf and NaN.  erf(+-0) keeps the zero's sign.  Then an array of
+    whole ``T._ERF_BLOCK`` blocks and a partial one, so each block's far
+    entries (|x| >= 1 or NaN) must be gathered and scattered back within it: a
+    block with none, a block of only far entries, and blocks whose one far
+    entry is NaN, +inf or -inf.  Its denser near entries meet the rational's
+    worst case, 1.5 ulp of 1 at x = +-0.8738, so it is held to 2 ulps of 1.
     """
     edges = [0.0, -0.0, 5e-324, 1e-8, 30.0, -30.0, math.inf, -math.inf, math.nan]
     for v in (1.0, -1.0, 8.0, -8.0):
         edges += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
-    x = np.concatenate([np.linspace(-10.0, 10.0, 4001), edges])
+    grid = np.concatenate([np.linspace(-10.0, 10.0, 4001), edges])
+    n = T._ERF_BLOCK
+    near = np.linspace(-0.999, 0.999, n)
+    blocks = [near, np.linspace(1.0, 10.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0)]
+    for v in (math.nan, math.inf, -math.inf):
+        one = near.copy()
+        one[n // 3] = v
+        blocks.append(one)
+    blocks.append(np.linspace(-3.0, 3.0, 1001))
     for dtype, tol in ((np.float64, 2.3e-16), (np.float32, 2.4e-7)):
-        xd = x.astype(dtype)
-        got = T.erf(xd)
-        assert got.dtype == dtype, (dtype, got.dtype)
-        want = np.array([math.erf(v) for v in xd.tolist()])
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan), f"erf NaN pattern differs at {dtype.__name__}"
-        err = np.abs(got[~nan] - want[~nan]).max()
-        assert err <= tol, f"erf differs from math.erf by {err:.3g} at {dtype.__name__}"
+        for x, bound in ((grid, tol), (np.concatenate(blocks), 2.0 * np.finfo(dtype).eps)):
+            xd = x.astype(dtype)
+            got = T.erf(xd)
+            assert got.dtype == dtype, (dtype, got.dtype)
+            want = np.array([math.erf(v) for v in xd.tolist()])
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), f"erf NaN pattern differs at {dtype.__name__}"
+            err = np.abs(got[~nan] - want[~nan]).max()
+            assert err <= bound, f"erf differs from math.erf by {err:.3g} at {dtype.__name__}"
+        zeros = np.array([0.0, -0.0], dtype=dtype)
+        assert np.array_equal(np.signbit(T.erf(zeros)), [False, True]), f"erf(+-0) loses its sign at {dtype.__name__}"
 
 
 BLUR_SHAPES = ((11, 11, 1), (23, 17, 3), (2, 16, 14, 5))

@@ -67,6 +67,27 @@ def test_erf_matches_math_erf():
     check_erf_matches_math_erf(np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_in_place_passes_write_only_their_own_buffers(dtype):
+    # erf writes its blocks into its output, gelu forms Phi in place and its
+    # gradient runs in one fresh buffer: the input, the forward output and the
+    # Phi the backward holds keep every byte, over several erf blocks
+    rng = np.random.default_rng(29)
+    x = (3.0 * rng.standard_normal(2 * T._ERF_BLOCK + 7)).astype(dtype)
+    x[:3] = [0.0, -0.0, np.nan]
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        y = T.gelu(xt)
+        loss = T.tsum(y * Tensor(rng.standard_normal(x.shape).astype(dtype)))
+    held = [a for a in closure_arrays(tape.nodes[0].backward_fn) if a is not xt.data]
+    arrays = (xt.data, y.data, *held)
+    before = [a.copy() for a in arrays]
+    grad = backward(loss, tape)[xt]
+    assert grad.dtype == dtype and held
+    for a, b in zip(arrays, before):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_sigmoid_leaky_relu():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((15,))
@@ -589,6 +610,31 @@ def test_one_channel_conv2d_matches_scipy_correlate(one, c, k, dtype, lead, h, w
     for got, ref in ((out.data, want), (dx, want_dx)):
         got = got.reshape((-1, h, w, ref.shape[1])).transpose(0, 3, 1, 2)
         assert np.allclose(got, ref, rtol=0, atol=CONV_TOL[dtype])
+
+
+@settings(max_examples=60)
+@given(widths=st.sampled_from([(1,), (2,), (5,), (1, 1), (3, 2), (1, 2, 2)]), c_out=st.sampled_from([1, 3, 8]),
+       k=st.sampled_from([1, 3]), dtype=st.sampled_from([np.float32, np.float64]),
+       lead=st.sampled_from([(), (1,), (3,), (2, 2)]), h=st.integers(1, 8), w=st.integers(1, 7),
+       budget=st.sampled_from(sorted(STRIP_BUDGETS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_conv2d_bias_add_is_the_bias_free_conv_plus_bias(widths, c_out, k, dtype, lead, h, w, budget, seed):
+    # the forward adds the bias tiled along whole strip rows, or as is on a
+    # one-channel strip (widths (1,)) or to one output channel: bit for bit the
+    # bias-free conv plus the broadcast bias, on one piece or several, with the
+    # strip budget cut to a few rows or images
+    rng = np.random.default_rng(seed)
+    c_in = sum(widths)
+    arrays = [rng.standard_normal(lead + (h, w, c)).astype(dtype) for c in widths]
+    wt = Tensor(rng.standard_normal((k, k, c_in, c_out)).astype(dtype))
+    b = rng.standard_normal(c_out).astype(dtype)
+    row = (w + k - 1) * (c_in + c_out) * np.dtype(dtype).itemsize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_STRIP_BYTES", STRIP_BUDGETS[budget](h, row, k - 1))
+        pieces = [Tensor(a) for a in arrays]
+        got = T.conv2d(pieces, wt, Tensor(b)).data
+        plain = T.conv2d(pieces, wt, Tensor(np.zeros_like(b))).data
+    assert got.dtype == dtype and got.shape == lead + (h, w, c_out)
+    assert np.array_equal(got, plain + b)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
