@@ -6,6 +6,10 @@ embedded and unfolded into N = h1 w1 / p^2 tokens; M heads of scaled
 dot-product attention renew the value tokens, an inter-head correlation matrix
 remixes the heads, and the folded result is post-processed by a 3x3 conv and
 added back to X1.
+
+The weights carry the layout: the reference embedding's kernel side is the
+registration ratio rho, and the query bias is [M, d'].  Only the token patch
+side p is passed at forward time.
 """
 from __future__ import annotations
 
@@ -16,24 +20,6 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
-
-
-@dataclass
-class AttentionConfig:
-    d: int           # embedding channels
-    M: int           # head count
-    p: int = 1       # patch side for tokenization
-    rho: int = 1     # spatial registration ratio h2/h1 = w2/w1
-
-    def __post_init__(self):
-        if self.d * self.p * self.p % self.M:
-            raise ShapeError(f"d*p^2 = {self.d * self.p * self.p} not divisible by M = {self.M}")
-        if self.rho < 1:
-            raise ShapeError(f"rho must be a positive integer, got {self.rho}")
-
-    @property
-    def d_prime(self):
-        return self.d * self.p * self.p // self.M
 
 
 @dataclass
@@ -84,28 +70,35 @@ def _init_embed(d, k, rng, dtype):
     )
 
 
-def init_attention_weights(cfg: AttentionConfig, rng, dtype=np.float64, safe_start=True):
-    dp2 = cfg.d * cfg.p * cfg.p
-    dp = cfg.d_prime
+def init_attention_weights(d, M, rng, dtype=np.float64, safe_start=True, p=1, rho=1):
+    """Weights for d channels, M heads, p x p token patches and registration ratio rho = h2/h1."""
+    dp2 = d * p * p
+    if dp2 % M:
+        raise ShapeError(f"d*p^2 = {dp2} not divisible by M = {M}")
+    if rho < 1:
+        raise ShapeError(f"rho must be a positive integer, got {rho}")
+    dp = dp2 // M
     return AttentionWeights(
-        embed1=_init_embed(cfg.d, 1, rng, dtype),
-        embed2=_init_embed(cfg.d, cfg.rho, rng, dtype),
-        wq=_uniform(rng, (cfg.M, dp2, dp), dp2, dtype), bq=_zeros((cfg.M, dp), dtype),
-        wk=_uniform(rng, (cfg.M, dp2, dp), dp2, dtype),
-        wv=_uniform(rng, (cfg.M, dp2, dp), dp2, dtype), bv=_zeros((cfg.M, dp), dtype),
-        out_w=_uniform(rng, (3, 3, cfg.d, cfg.d), 9 * cfg.d, dtype, zero=safe_start),
-        out_b=_zeros(cfg.d, dtype),
+        embed1=_init_embed(d, 1, rng, dtype),
+        embed2=_init_embed(d, rho, rng, dtype),
+        wq=_uniform(rng, (M, dp2, dp), dp2, dtype), bq=_zeros((M, dp), dtype),
+        wk=_uniform(rng, (M, dp2, dp), dp2, dtype),
+        wv=_uniform(rng, (M, dp2, dp), dp2, dtype), bv=_zeros((M, dp), dtype),
+        out_w=_uniform(rng, (3, 3, d, d), 9 * d, dtype, zero=safe_start),
+        out_b=_zeros(d, dtype),
     )
 
 
-def tokenize(x, emb: EmbedWeights, k, p):
+def tokenize(x, emb: EmbedWeights, p):
     """LN -> patch embedding -> LN -> GELU -> unfold(p); returns [.., N, d p^2].
 
-    The embedding is a linear map of each flattened k x k patch: k = 1 on the
-    input path, k = rho on the reference path, where it registers X2's extents
-    to X1's.  One rearrange takes the patches, in unfold's order, to
-    [.., h/k, w/k, k^2 d]; a 1x1 conv reads the [k, k, d, d] weights as [1, 1, k^2 d, d].
+    The embedding is a linear map of each flattened k x k patch, k being the
+    side of emb's kernel: k = 1 on the input path, k = rho on the reference
+    path, where it registers X2's extents to X1's.  One rearrange takes the
+    patches, in unfold's order, to [.., h/k, w/k, k^2 d]; a 1x1 conv reads the
+    [k, k, d, d] weights as [1, 1, k^2 d, d].
     """
+    k = emb.conv_w.shape[0]
     h, w, d = x.shape[-3:]
     h, w = h // k, w // k  # rearrange and unfold check the extents against k and p
     y = T.layer_norm(x, emb.pre_gain, emb.pre_shift)
@@ -136,19 +129,18 @@ def _heads_linear(tokens, w):
     return T.einsum("...nd,mde->...mne", tokens, w)
 
 
-def basic_attention(x1, x2, weights: AttentionWeights, cfg: AttentionConfig,
-                    use_inter_head=True):
-    """Full basic attention block; output has X1's shape.
+def basic_attention(x1, x2, weights: AttentionWeights, p=1, use_inter_head=True):
+    """Full basic attention block with p x p token patches; output has X1's shape.
 
     Accepts leading batch axes on x1/x2 (used for per-window evaluation with
     shared weights).
     """
     h1, w1 = x1.shape[-3], x1.shape[-2]
-    t1 = tokenize(x1, weights.embed1, 1, cfg.p)
-    t2 = tokenize(x2, weights.embed2, cfg.rho, cfg.p)
+    t1 = tokenize(x1, weights.embed1, p)
+    t2 = tokenize(x2, weights.embed2, p)
     if t1.shape[-2] != t2.shape[-2]:
         raise ShapeError(f"token counts differ after registration: {t1.shape[-2]} vs {t2.shape[-2]}")
-    bias_shape = (cfg.M, 1, cfg.d_prime)
+    bias_shape = (weights.bq.shape[0], 1, weights.bq.shape[1])  # [M, 1, d']
     q = _heads_linear(t1, weights.wq) + T.reshape(weights.bq, bias_shape)
     k = _heads_linear(t2, weights.wk)
     v = _heads_linear(t2, weights.wv) + T.reshape(weights.bv, bias_shape)
@@ -157,6 +149,6 @@ def basic_attention(x1, x2, weights: AttentionWeights, cfg: AttentionConfig,
     vt = T.transpose(vhat, tuple(range(nb)) + (nb + 1, nb, nb + 2))  # [.., N, M, d']
     if use_inter_head:
         vt = remix_heads(vt)
-    tokens_out = T.reshape(vt, vt.shape[:-2] + (cfg.d * cfg.p * cfg.p,))
-    folded = T.fold(tokens_out, cfg.p, h1, w1)
+    tokens_out = T.reshape(vt, vt.shape[:-2] + (vt.shape[-2] * vt.shape[-1],))
+    folded = T.fold(tokens_out, p, h1, w1)
     return x1 + T.conv2d(folded, weights.out_w, weights.out_b)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, basic_attention, init_attention_weights, intra_head_attention
+from .attention import basic_attention, init_attention_weights, intra_head_attention
 from .crossmod import (IN_EPS, adain, channel_moments, init_adain_weights,
                        init_inter_modality_weights, instance_standardize,
                        inter_modality_attention)
@@ -362,10 +362,9 @@ def check_attention_row_stochastic(rng):
 
 
 def check_attention_safe_start(rng):
-    cfg = AttentionConfig(d=4, M=2, p=1, rho=1)
-    w = init_attention_weights(cfg, rng)
+    w = init_attention_weights(4, 2, rng)
     x = Tensor(rng.standard_normal((6, 6, 4)))
-    out = basic_attention(x, x, w, cfg)
+    out = basic_attention(x, x, w)
     assert np.array_equal(out.data, x.data)
     assert out.shape == x.shape
 
@@ -373,25 +372,23 @@ def check_attention_safe_start(rng):
 def check_attention_permutation_invariance(rng):
     # permuting X2's patches permutes its key/value tokens; softmax sums over
     # them, so the output must not change
-    cfg = AttentionConfig(d=4, M=2, p=2, rho=1)
-    w = init_attention_weights(cfg, rng, safe_start=False)
+    w = init_attention_weights(4, 2, rng, safe_start=False, p=2)
     x1 = Tensor(rng.standard_normal((4, 4, 4)))
     x2 = Tensor(rng.standard_normal((4, 4, 4)))
-    out = basic_attention(x1, x2, w, cfg)
+    out = basic_attention(x1, x2, w, 2)
     # swap the two patch rows of x2 (each patch is 2x2)
     perm = x2.data.reshape(2, 2, 4, 4).copy()[::-1].reshape(4, 4, 4)
-    out_p = basic_attention(x1, Tensor(perm), w, cfg)
+    out_p = basic_attention(x1, Tensor(perm), w, 2)
     assert np.allclose(out.data, out_p.data, atol=1e-10)
 
 
 def check_attention_gradients(rng):
-    cfg = AttentionConfig(d=4, M=2, p=1, rho=1)
-    w = init_attention_weights(cfg, rng, safe_start=False)
+    w = init_attention_weights(4, 2, rng, safe_start=False)
     x = Tensor(rng.standard_normal((6, 6, 4)))
     params = list(named_parameters(w))
 
     def loss():
-        return T.tsum(T.square(basic_attention(x, x, w, cfg)))
+        return T.tsum(T.square(basic_attention(x, x, w)))
 
     finite_diff_check(loss, params, 20, rng, tol=1e-5)
     # the draws above can miss an array: one entry more on each projection and embedding conv
@@ -458,17 +455,16 @@ def check_two_hop_reachability(rng, maps=TWO_HOP_MAPS):
 def check_window_weight_sharing(rng):
     # processing order cannot matter: compare against a per-window loop run in
     # shuffled order, for both partitions
-    cfg = AttentionConfig(d=4, M=2, p=1, rho=1)
-    aw = init_attention_weights(cfg, rng, safe_start=False)
+    aw = init_attention_weights(4, 2, rng, safe_start=False)
     mw = init_mlp_weights(4, rng, safe_start=False)
     x = Tensor(rng.standard_normal((6, 6, 4)))
     for mode in ("short", "long"):
-        fast = window_attention(x, 3, mode, aw, mw, cfg)
+        fast = window_attention(x, 3, mode, aw, mw)
         wins = partition(x, 3, mode)
         outs = [None] * wins.shape[0]
         for i in rng.permutation(wins.shape[0]):
             win = Tensor(wins.data[i])
-            outs[i] = basic_attention(win, win, aw, cfg).data
+            outs[i] = basic_attention(win, win, aw).data
         slow = residual_mlp(merge(Tensor(np.stack(outs)), 6, 6, mode), mw)
         assert np.allclose(fast.data, slow.data, atol=1e-12), mode
 
@@ -506,11 +502,10 @@ def check_standardize_shift_invariance(rng):
 
 
 def check_inter_modality_shape(rng):
-    cfg = AttentionConfig(d=4, M=2, p=2, rho=2)
-    w = init_inter_modality_weights(cfg, rng, safe_start=False)
+    w = init_inter_modality_weights(4, 2, 2, 2, rng, safe_start=False)
     x1 = Tensor(rng.standard_normal((6, 6, 4)))
     x2 = Tensor(rng.standard_normal((12, 12, 4)))
-    out = inter_modality_attention(x1, x2, w, cfg)
+    out = inter_modality_attention(x1, x2, w, 2)
     assert out.shape == x1.shape
 
 

@@ -3,10 +3,12 @@
 Single tensor layout: magic "CHFT", version u16 = 1, dtype u8 (0 = f32,
 1 = f64), ndim u8, ndim x u32 extents, then the payload little-endian
 row-major.  A container is a sequence of named entries, each written as
-u16 name length, the utf-8 name, then a full single-tensor blob.
+u16 name length, the utf-8 name, then a full single-tensor blob.  A file
+that breaks these layouts is a FormatError that starts with its path.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 
@@ -65,6 +67,15 @@ def _decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr.astype(dtype.newbyteorder("=")), end
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix each FormatError raised while reading ``path``'s bytes with the path."""
+    try:
+        yield
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def save_tensor(path, arr):
     with open(path, "wb") as f:
         f.write(_encode(np.asarray(arr)))
@@ -73,9 +84,10 @@ def save_tensor(path, arr):
 def load_tensor(path) -> np.ndarray:
     with open(path, "rb") as f:
         buf = f.read()
-    arr, end = _decode(buf)
-    if end != len(buf):
-        raise FormatError("trailing bytes after tensor payload")
+    with _naming(path):
+        arr, end = _decode(buf)
+        if end != len(buf):
+            raise FormatError("trailing bytes after tensor payload")
     return arr
 
 
@@ -94,20 +106,21 @@ def load_container(path) -> dict[str, np.ndarray]:
         buf = f.read()
     out: dict[str, np.ndarray] = {}
     offset = 0
-    while offset < len(buf):
-        start = offset
-        if offset + 2 > len(buf):
-            raise FormatError("truncated entry name length")
-        (nlen,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        if offset + nlen > len(buf):
-            raise FormatError("truncated entry name")
-        try:
-            name = buf[offset:offset + nlen].decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"entry name at byte {offset} is not UTF-8") from None
-        if name in out:
-            raise FormatError(f"entry {name!r} at byte {start} repeats an earlier entry")
-        offset += nlen
-        out[name], offset = _decode(buf, offset)
+    with _naming(path):
+        while offset < len(buf):
+            start = offset
+            if offset + 2 > len(buf):
+                raise FormatError("truncated entry name length")
+            (nlen,) = struct.unpack_from("<H", buf, offset)
+            offset += 2
+            if offset + nlen > len(buf):
+                raise FormatError("truncated entry name")
+            try:
+                name = buf[offset:offset + nlen].decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"entry name at byte {offset} is not UTF-8") from None
+            if name in out:
+                raise FormatError(f"entry {name!r} at byte {start} repeats an earlier entry")
+            offset += nlen
+            out[name], offset = _decode(buf, offset)
     return out

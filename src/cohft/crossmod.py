@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, AttentionWeights, _uniform, _zeros, basic_attention, init_attention_weights
+from .attention import AttentionWeights, _uniform, _zeros, basic_attention, init_attention_weights
 from .tensor import Tensor
 from .windows import MLPWeights, init_mlp_weights, residual_mlp
 
@@ -88,17 +88,21 @@ class InterModalityWeights:
     mlp: MLPWeights
 
 
-def init_inter_modality_weights(cfg: AttentionConfig, rng, dtype=np.float64, safe_start=True):
+def init_inter_modality_weights(d, M, r, p, rng, dtype=np.float64, safe_start=True):
     return InterModalityWeights(
-        adain=init_adain_weights(cfg.d, cfg.rho, rng, dtype, safe_start),
-        attn=init_attention_weights(cfg, rng, dtype, safe_start),
-        mlp=init_mlp_weights(cfg.d, rng, dtype, safe_start),
+        adain=init_adain_weights(d, r, rng, dtype, safe_start),
+        attn=init_attention_weights(d, M, rng, dtype, safe_start, p=p, rho=r),
+        mlp=init_mlp_weights(d, rng, dtype, safe_start),
     )
 
 
-def inter_modality_attention(x1, x2, weights: InterModalityWeights, cfg: AttentionConfig,
+def inter_modality_attention(x1, x2, weights: InterModalityWeights, p,
                              use_inter_head=True, use_adain=True):
-    """AdaIN-align x2 toward x1, attend with rho = r registration, then residual MLP."""
-    aligned = adain(x1, x2, weights.adain, cfg.rho) if use_adain else x2
-    out = basic_attention(x1, aligned, weights.attn, cfg, use_inter_head=use_inter_head)
+    """AdaIN-align x2 toward x1, attend with rho = r registration, then residual MLP.
+
+    r is the side of the reference path's embedding kernel.
+    """
+    r = weights.attn.embed2.conv_w.shape[0]
+    aligned = adain(x1, x2, weights.adain, r) if use_adain else x2
+    out = basic_attention(x1, aligned, weights.attn, p, use_inter_head=use_inter_head)
     return residual_mlp(out, weights.mlp)

@@ -61,10 +61,6 @@ def model_inputs(t2_lr, t1_hr, names=FIELDS[:2]):
     return (t2_lr, *map(derived, (t2_lr, t1_hr), names))
 
 
-def _pair(t2_lr, t1_hr, t2_hr) -> TrainingPair:
-    return TrainingPair(*model_inputs(t2_lr, t1_hr), t2_hr)
-
-
 def _gaussian_blur(img2d, sigma):
     """Gaussian blur of radius int(4 sigma + 0.5) over a mirror-padded border (edge sample repeated)."""
     r = int(4 * sigma + 0.5)
@@ -108,7 +104,8 @@ def sample_images(spec: PhantomSpec, r: int):
 
 
 def make_pair(spec: PhantomSpec, r: int) -> TrainingPair:
-    return _pair(**sample_images(spec, r))
+    images = sample_images(spec, r)
+    return TrainingPair(*model_inputs(images["t2_lr"], images["t1_hr"]), images["t2_hr"])
 
 
 def save_images(directory, sample_id, images):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, AttentionWeights, _uniform, _zeros, init_attention_weights
+from .attention import AttentionWeights, _uniform, _zeros, init_attention_weights
 from .chft import FormatError, require_finite
 from .config import ConfigError
 from .crossmod import InterModalityWeights, init_inter_modality_weights, inter_modality_attention
@@ -40,13 +40,6 @@ class ModelConfig:
     use_inter_attn: bool = True
     use_inter_head: bool = True
     use_adain: bool = True
-
-    def intra_cfg(self):
-        """Window attention: one token per pixel (p = 1) of a map registered to itself."""
-        return AttentionConfig(d=self.d, M=self.M)
-
-    def inter_cfg(self):
-        return AttentionConfig(d=self.d, M=self.M, p=self.p_inter, rho=self.r)
 
     def preflight(self, lr, lr_grad, guide):
         """Reject inputs the model cannot take, before any compute; return the output's shape.
@@ -181,11 +174,11 @@ def init_model(cfg: ModelConfig, seed=0, dtype=np.float64, safe_start=True):
 
     def block():
         return CohfTBlockWeights(
-            short_attn=init_attention_weights(cfg.intra_cfg(), rng, dtype, safe_start),
+            short_attn=init_attention_weights(d, cfg.M, rng, dtype, safe_start),
             short_mlp=init_mlp_weights(d, rng, dtype, safe_start),
-            long_attn=init_attention_weights(cfg.intra_cfg(), rng, dtype, safe_start),
+            long_attn=init_attention_weights(d, cfg.M, rng, dtype, safe_start),
             long_mlp=init_mlp_weights(d, rng, dtype, safe_start),
-            inter=init_inter_modality_weights(cfg.inter_cfg(), rng, dtype, safe_start),
+            inter=init_inter_modality_weights(d, cfg.M, cfg.r, cfg.p_inter, rng, dtype, safe_start),
         )
 
     stages = [StageWeights(
@@ -274,12 +267,12 @@ def cohf_t_block(fs_i, fc0, block: CohfTBlockWeights, cfg: ModelConfig):
     y = fs_i
     if cfg.use_short_wa:
         y = window_attention(y, cfg.g, "short", block.short_attn, block.short_mlp,
-                             cfg.intra_cfg(), use_inter_head=cfg.use_inter_head)
+                             use_inter_head=cfg.use_inter_head)
     if cfg.use_long_wa:
         y = window_attention(y, cfg.g, "long", block.long_attn, block.long_mlp,
-                             cfg.intra_cfg(), use_inter_head=cfg.use_inter_head)
+                             use_inter_head=cfg.use_inter_head)
     if cfg.use_inter_attn:
-        y = inter_modality_attention(y, fc0, block.inter, cfg.inter_cfg(),
+        y = inter_modality_attention(y, fc0, block.inter, cfg.p_inter,
                                      use_inter_head=cfg.use_inter_head,
                                      use_adain=cfg.use_adain)
     return y

@@ -45,8 +45,8 @@ class Tensor:
     # node: the tape node that produced this tensor, or None for a leaf
     __slots__ = ("data", "requires_grad", "node", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -419,8 +419,8 @@ def tsum(a, axis=None, keepdims=False):
     return _record("sum", out, (a,), bw)
 
 
-def tmean(a, axis=None, keepdims=False):
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+def tmean(a, axis=None):
+    out = a.data.mean(axis=axis)
     # a Python int, so that the gradient keeps the input's dtype
     denom = a.data.size if axis is None else math.prod(
         a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,)))
@@ -428,7 +428,7 @@ def tmean(a, axis=None, keepdims=False):
 
     def bw(g):
         gg = g / denom
-        if axis is not None and not keepdims:
+        if axis is not None:
             gg = np.expand_dims(gg, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, AttentionWeights, _uniform, _zeros, _ones, basic_attention
+from .attention import AttentionWeights, _uniform, _zeros, _ones, basic_attention
 from .tensor import Tensor
 
 
@@ -81,14 +81,14 @@ def residual_mlp(x, weights: MLPWeights):
 
 
 def window_attention(x, g, mode, attn_weights: AttentionWeights, mlp_weights: MLPWeights,
-                     cfg: AttentionConfig, use_inter_head=True):
+                     use_inter_head=True):
     """Per-window self basic attention with shared weights, then the residual MLP.
 
+    One token per pixel (basic_attention's p = 1) of a window registered to itself.
     Windows are evaluated as one batched attention call; the result is
     identical to looping basic_attention over each window.
     """
     windows = partition(x, g, mode)
-    enhanced = basic_attention(windows, windows, attn_weights, cfg,
-                               use_inter_head=use_inter_head)
+    enhanced = basic_attention(windows, windows, attn_weights, use_inter_head=use_inter_head)
     merged = merge(enhanced, x.shape[0], x.shape[1], mode)
     return residual_mlp(merged, mlp_weights)

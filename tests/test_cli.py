@@ -675,8 +675,26 @@ def test_huge_extents_are_one_line_error(tmp_path, capsys):
     (sid,) = read_manifest(data)
     huge = tmp_path / "huge.t2_lr.chft"
     huge.write_bytes(b"CHFT" + struct.pack("<HBB4I", 1, 0, 4, *[2 ** 31] * 4) + bytes(8))
-    assert_one_line_error(capsys, infer_args(data, out, sid, t2_lr=huge), "truncated payload")
+    assert_one_line_error(capsys, infer_args(data, out, sid, t2_lr=huge), f"{huge}: truncated payload")
+    # a checkpoint given as an image is named too
+    ckpt = out / "checkpoint.chft"
+    assert_one_line_error(capsys, infer_args(data, out, sid, t2_lr=ckpt), f"{ckpt}: bad magic bytes")
     assert not (out / "i_out.chft").exists()
+
+
+@pytest.mark.parametrize("command, broken", [("train", "image"), ("eval", "image"), ("infer", "image"),
+                                             ("eval", "checkpoint"), ("infer", "checkpoint")])
+def test_truncated_file_is_one_line_error_naming_it(tmp_path, capsys, command, broken):
+    data, out = gen(tmp_path)
+    assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
+    sid = read_manifest(data)[-1]
+    ckpt = out / "checkpoint.chft"
+    path = ckpt if broken == "checkpoint" else data / f"{sid}.t1_hr.chft"
+    path.write_bytes(path.read_bytes()[:-4])
+    args = {"train": ["--set", f"data_dir={data}", "--out", str(out), "train"],
+            "eval": ["--set", f"data_dir={data}", "--out", str(out), "eval", str(ckpt)],
+            "infer": infer_args(data, out, sid)}[command]
+    assert_one_line_error(capsys, args, f"{path}: truncated payload")
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

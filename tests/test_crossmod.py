@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cohft.attention import AttentionConfig
 from cohft.checks import (check_adain_alignment, check_instance_standardize_moments,
                           check_inter_modality_shape, check_standardize_shift_invariance)
 from cohft.crossmod import (IN_EPS, adain, adain_apply, channel_moments, compute_affine,
@@ -77,23 +76,21 @@ def test_nonzero_affine_changes_output():
 
 def test_inter_modality_safe_start_identity():
     rng = np.random.default_rng(8)
-    cfg = AttentionConfig(d=4, M=2, p=2, rho=2)
-    w = init_inter_modality_weights(cfg, rng)
+    w = init_inter_modality_weights(4, 2, 2, 2, rng)
     x1 = Tensor(rng.standard_normal((6, 6, 4)))
     x2 = Tensor(rng.standard_normal((12, 12, 4)))
-    out = inter_modality_attention(x1, x2, w, cfg)
+    out = inter_modality_attention(x1, x2, w, 2)
     assert np.array_equal(out.data, x1.data)
 
 
 def test_inter_modality_output_shape_and_switches():
     rng = np.random.default_rng(9)
     check_inter_modality_shape(rng)
-    cfg = AttentionConfig(d=4, M=2, p=2, rho=2)
-    w = init_inter_modality_weights(cfg, rng, safe_start=False)
+    w = init_inter_modality_weights(4, 2, 2, 2, rng, safe_start=False)
     x1 = Tensor(rng.standard_normal((6, 6, 4)))
     x2 = Tensor(rng.standard_normal((12, 12, 4)))
-    base = inter_modality_attention(x1, x2, w, cfg)
-    no_adain = inter_modality_attention(x1, x2, w, cfg, use_adain=False)
+    base = inter_modality_attention(x1, x2, w, 2)
+    no_adain = inter_modality_attention(x1, x2, w, 2, use_adain=False)
     assert np.abs(base.data - no_adain.data).max() > 1e-6
-    no_inter_head = inter_modality_attention(x1, x2, w, cfg, use_inter_head=False)
+    no_inter_head = inter_modality_attention(x1, x2, w, 2, use_inter_head=False)
     assert np.abs(base.data - no_inter_head.data).max() > 1e-6

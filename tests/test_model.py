@@ -17,7 +17,7 @@ TINY_R2_PARAMS = 5_344
 def test_preset_table():
     cfg = preset("L", r=4)
     assert (cfg.d, cfg.stages, cfg.M, cfg.g) == (32, 4, 4, 6)
-    assert cfg.p_inter == 5 and cfg.intra_cfg().p == 1
+    assert cfg.p_inter == 5
     tiny = preset("tiny", r=2)
     assert (tiny.d, tiny.stages, tiny.M, tiny.g) == (4, 1, 2, 3)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cohft import tensor as T
-from cohft.attention import AttentionConfig, init_attention_weights, tokenize
+from cohft.attention import init_attention_weights, tokenize
 from cohft.checks import (check_erf_matches_math_erf, check_separable_blur_matches_conv2d,
                           check_softmax_properties, check_tape_contract, finite_diff_check)
 from cohft.tensor import ShapeError, Tape, TapeError, Tensor, backward
@@ -740,15 +740,14 @@ def test_layouts_reject_indivisible_extents(h, w, p, d):
     assume(h % p or w % p)
     x = Tensor(np.zeros((h, w, d)))
     n = (h // p) * (w // p)
-    cfg = AttentionConfig(d=d, M=1, p=p, rho=p)
-    weights = init_attention_weights(cfg, np.random.default_rng(0))
+    weights = init_attention_weights(d, 1, np.random.default_rng(0), p=p, rho=p)
     layouts = [
         lambda: T.unfold(x, p),
         lambda: T.fold(Tensor(np.zeros((n, p * p * d))), p, h, w),
         # channels that p^2 does not divide
         lambda: T.pixel_shuffle(Tensor(np.zeros((2, 3, p * p * d + (h % p or w % p)))), p),
-        lambda: tokenize(x, weights.embed1, 1, p),
-        lambda: tokenize(x, weights.embed2, p, 1),
+        lambda: tokenize(x, weights.embed1, p),
+        lambda: tokenize(x, weights.embed2, 1),  # k = rho = p
     ]
     for mode in ("short", "long"):
         layouts.append(lambda mode=mode: partition(x, p, mode))
@@ -779,10 +778,9 @@ def test_each_layout_records_one_rearrange_node():
     with Tape() as tape:
         T.unfold(x, 1)
     assert [node.op for node in tape.nodes] == ["reshape"]
-    cfg = AttentionConfig(d=4, M=2, p=1, rho=1)
-    emb = init_attention_weights(cfg, np.random.default_rng(0)).embed1
+    emb = init_attention_weights(4, 2, np.random.default_rng(0)).embed1
     with Tape() as tape:
-        tokenize(x, emb, 1, 1)
+        tokenize(x, emb, 1)
     assert "rearrange" not in [node.op for node in tape.nodes]
 
 

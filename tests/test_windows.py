@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cohft.attention import AttentionConfig, init_attention_weights
+from cohft.attention import init_attention_weights
 from cohft import windows
 from cohft.checks import (check_two_hop_reachability, check_window_bijectivity,
                           check_window_weight_sharing, window_coords)
@@ -106,9 +106,8 @@ def test_window_attention_matches_per_window_loop():
 
 def test_window_attention_safe_start_identity():
     rng = np.random.default_rng(3)
-    cfg = AttentionConfig(d=4, M=2, p=1, rho=1)
-    aw = init_attention_weights(cfg, rng)
+    aw = init_attention_weights(4, 2, rng)
     mw = init_mlp_weights(4, rng)
     x = Tensor(rng.standard_normal((6, 6, 4)))
     for mode in ("short", "long"):
-        assert np.array_equal(window_attention(x, 3, mode, aw, mw, cfg).data, x.data)
+        assert np.array_equal(window_attention(x, 3, mode, aw, mw).data, x.data)
