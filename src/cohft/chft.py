@@ -5,11 +5,14 @@ Single tensor layout: magic "CHFT", version u16 = 1, dtype u8 (0 = f32,
 row-major.  A container is a sequence of named entries, each written as
 u16 name length, the utf-8 name, then a full single-tensor blob.  A file
 that breaks these layouts is a FormatError that starts with its path.
+Either kind of file is written beside its path and then replaces it whole,
+so a write that fails leaves the file that was there.
 """
 from __future__ import annotations
 
 import contextlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -76,8 +79,25 @@ def _naming(path):
         raise FormatError(f"{path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file, open for writing, that replaces ``path`` once it is complete.
+
+    On any failure the partial file is removed and ``path`` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_tensor(path, arr):
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(_encode(np.asarray(arr)))
 
 
@@ -93,7 +113,7 @@ def load_tensor(path) -> np.ndarray:
 
 def save_container(path, entries):
     """entries: iterable of (name, array) written in the given order."""
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         for name, arr in entries:
             nb = name.encode("utf-8")
             f.write(struct.pack("<H", len(nb)))

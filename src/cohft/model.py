@@ -220,8 +220,19 @@ def state_arrays(state):
 def load_state_arrays(state, arrays: dict):
     """Set each parameter to its entry; an entry of the parameter's dtype is
     taken as is, not copied, so the state owns it from then on.  NaN or inf
-    in an entry is a FormatError."""
-    for name, t in named_parameters(state):
+    in an entry is a FormatError.
+
+    An entry of a field that a module of the model dropped is ignored, but one
+    whose module (its name up to the last dot) holds no parameter of the model
+    is a FormatError: a checkpoint of a larger architecture, whose parameters
+    include every one of the smaller at the same shape, does not load into it.
+    """
+    params = list(named_parameters(state))
+    modules = {name.rpartition(".")[0] for name, _ in params}
+    for name in arrays:
+        if name.rpartition(".")[0] not in modules:
+            raise FormatError(f"checkpoint entry {name!r} belongs to no module of the model")
+    for name, t in params:
         if name not in arrays:
             raise FormatError(f"checkpoint is missing parameter {name!r}")
         arr = arrays[name]

@@ -120,8 +120,12 @@ class Tape:
     """Ordered record of primitive applications.
 
     A ``backward`` consumes every node on it.  ``nodes`` still lists what it
-    walked until the next record (the benchmark's tracer counts them there),
-    which starts an empty list.
+    walked until the next record, which starts an empty list.  Its readers
+    after a backward are ``checks.check_tape_contract``,
+    ``tests/test_checks.py::test_every_tape_primitive_is_gradient_checked`` and
+    ``benchmark/test_benchmark.py::test_tracer_attributes_primitives_and_restores_cohft``
+    (``len(tape.nodes)``); the benchmark's tracer counts the nodes before it calls
+    ``backward``.
     """
 
     def __init__(self):

@@ -110,16 +110,6 @@ def test_reference_patch_permutation_invariance():
     check_attention_permutation_invariance(np.random.default_rng(7))
 
 
-def test_batched_equals_loop():
-    rng = np.random.default_rng(8)
-    w = init_attention_weights(4, 2, rng, safe_start=False)
-    xs = rng.standard_normal((3, 5, 5, 4))
-    batched = basic_attention(Tensor(xs), Tensor(xs), w).data
-    for i in range(3):
-        single = basic_attention(Tensor(xs[i]), Tensor(xs[i]), w).data
-        assert np.allclose(batched[i], single, atol=1e-12)
-
-
 def test_inter_head_switch_changes_output():
     rng = np.random.default_rng(9)
     w = init_attention_weights(4, 2, rng, safe_start=False)

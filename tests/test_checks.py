@@ -1,10 +1,11 @@
-"""Every check that `cohft check` runs is also called by name from a test."""
+"""Every check that `cohft check` runs is called by name from a test, and the passing
+suite runs once, through the command line."""
 import re
 from pathlib import Path
 
-from cohft import checks
+from cohft import checks, cli
 from cohft import tensor as T
-from cohft.checks import ALL_CHECKS, run_all_checks
+from cohft.checks import ALL_CHECKS
 
 
 def test_every_check_is_called_by_a_test():
@@ -21,7 +22,7 @@ def test_every_check_is_called_by_a_test():
 OP_PRIMITIVE = {"sum": "tsum", "mean": "tmean"}
 
 
-def test_every_tape_primitive_is_gradient_checked(monkeypatch):
+def test_every_tape_primitive_is_gradient_checked(tmp_path, monkeypatch, capsys):
     # the functions of cohft.tensor that record a node themselves
     primitives = {name for name, fn in vars(T).items()
                   if not name.startswith("_") and getattr(fn, "__module__", None) == T.__name__
@@ -44,7 +45,10 @@ def test_every_tape_primitive_is_gradient_checked(monkeypatch):
 
     monkeypatch.setattr(checks, "finite_diff_check", inside_finite_diff_check)
     monkeypatch.setattr(T, "backward", noting_backward)
-    failed = [r.name for r in run_all_checks() if not r.passed]
-    assert not failed, failed
+    # the one run of the passing suite in the tests: `cohft check`, through the command line
+    rc = cli.main(["--out", str(tmp_path / "out"), "check"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "[FAIL]" not in out, out
+    assert "29/29 checks passed" in out and "[PASS] srnet/parameter-liveness" in out, out
     unchecked = primitives - {OP_PRIMITIVE.get(op, op) for op in checked}
     assert not unchecked, f"no finite-difference check runs the backward of {sorted(unchecked)}"

@@ -13,11 +13,6 @@ from cohft.losses import (GRAD_EPS, SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, L
 from cohft.tensor import ShapeError, Tensor
 
 
-def test_gradient_map_constant_is_sqrt_eps():
-    const = gradient_map(Tensor(np.full((6, 6, 1), 0.4)))
-    assert np.all(const.data == 1e-3)  # sqrt(1e-6) exactly at 64-bit
-
-
 def test_gradient_map_matches_numpy_oracle():
     rng = np.random.default_rng(0)
     img = rng.uniform(0, 1, (9, 7, 1))
@@ -28,15 +23,6 @@ def test_gradient_map_matches_numpy_oracle():
     dx[:, :-1] = img[:, 1:] - img[:, :-1]
     want = np.sqrt(dx ** 2 + dy ** 2 + GRAD_EPS)
     assert np.allclose(got, want, atol=1e-12)
-
-
-def test_gradient_map_shift_invariance_and_floor():
-    rng = np.random.default_rng(1)
-    img = rng.uniform(0, 1, (8, 8, 1))
-    a = gradient_map(Tensor(img)).data
-    b = gradient_map(Tensor(img + 0.3)).data
-    assert np.allclose(a, b, atol=1e-12)
-    assert np.all(a >= 1e-3)
 
 
 def ssim_oracle(a, b):
@@ -69,22 +55,6 @@ def test_ssim_matches_independent_oracle():
 def test_ssim_blur_matches_conv2d():
     # ssim's one blur call against conv2d with the full 11x11 window, at f64
     check_separable_blur_matches_conv2d(np.random.default_rng(9))
-
-
-def test_ssim_self_is_exactly_one():
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.uniform(0, 1, (16, 16, 1)))
-    assert ssim(x, x).item() == 1.0
-
-
-def test_ssim_symmetry_and_range():
-    rng = np.random.default_rng(4)
-    x = Tensor(rng.uniform(0, 1, (14, 14, 1)))
-    y = Tensor(rng.uniform(0, 1, (14, 14, 1)))
-    ab = ssim(x, y).item()
-    assert ab == ssim(y, x).item()
-    assert -1.0 <= ab <= 1.0
-    assert ab < 1.0
 
 
 def test_ssim_rejects_small_images():

@@ -692,29 +692,6 @@ def test_separable_blur_shape_errors():
         T.separable_blur(Tensor(np.zeros((12, 12))), np.ones(3))
 
 
-def test_unfold_fold_identity():
-    rng = np.random.default_rng(15)
-    x = Tensor(rng.standard_normal((6, 6, 3)))
-    for p in (1, 2, 3):
-        tok = T.unfold(x, p)
-        assert tok.shape == (36 // (p * p), 3 * p * p)
-        assert np.array_equal(T.fold(tok, p, 6, 6).data, x.data)
-    # p = 1 unfold is a plain flatten
-    assert np.array_equal(T.unfold(x, 1).data, x.data.reshape(36, 3))
-
-
-def test_pixel_shuffle_oracle():
-    rng = np.random.default_rng(16)
-    x = rng.standard_normal((2, 3, 8))
-    y = T.pixel_shuffle(Tensor(x), 2).data
-    assert y.shape == (4, 6, 2)
-    # channel c r^2 + dy r + dx lands at (r y + dy, r x + dx, c)
-    want = x.reshape(2, 3, 2, 2, 2).transpose(0, 3, 1, 4, 2).reshape(4, 6, 2)
-    assert np.array_equal(y, want)
-    with pytest.raises(ShapeError):
-        T.pixel_shuffle(Tensor(np.zeros((2, 2, 7))), 2)
-
-
 def test_rearrange_carries_leading_axes():
     rng = np.random.default_rng(18)
     x = Tensor(rng.standard_normal((2, 3, 4, 6)), requires_grad=True)
