@@ -1,9 +1,8 @@
-"""Every check that `cohft check` runs is called by name from a test, and the passing
-suite runs once, through the command line."""
+"""Every check that `cohft check` runs is called by name from a test, and every tape
+primitive's backward runs inside a finite-difference check."""
 import re
 from pathlib import Path
 
-from cohft import checks, cli
 from cohft import tensor as T
 from cohft.checks import ALL_CHECKS
 
@@ -22,33 +21,12 @@ def test_every_check_is_called_by_a_test():
 OP_PRIMITIVE = {"sum": "tsum", "mean": "tmean"}
 
 
-def test_every_tape_primitive_is_gradient_checked(tmp_path, monkeypatch, capsys):
+def test_every_tape_primitive_is_gradient_checked(check_run):
     # the functions of cohft.tensor that record a node themselves
     primitives = {name for name, fn in vars(T).items()
                   if not name.startswith("_") and getattr(fn, "__module__", None) == T.__name__
                   and "_record" in getattr(getattr(fn, "__code__", None), "co_names", ())}
-    checked, depth = set(), [0]
-    finite_diff_check, backward = checks.finite_diff_check, T.backward
-
-    def inside_finite_diff_check(*args, **kwargs):
-        depth[0] += 1
-        try:
-            return finite_diff_check(*args, **kwargs)
-        finally:
-            depth[0] -= 1
-
-    def noting_backward(loss, tape):
-        grads = backward(loss, tape)
-        if depth[0]:  # a node whose closure ran has it cleared
-            checked.update(node.op.split(":")[0] for node in tape.nodes if node.backward_fn is None)
-        return grads
-
-    monkeypatch.setattr(checks, "finite_diff_check", inside_finite_diff_check)
-    monkeypatch.setattr(T, "backward", noting_backward)
-    # the one run of the passing suite in the tests: `cohft check`, through the command line
-    rc = cli.main(["--out", str(tmp_path / "out"), "check"])
-    out = capsys.readouterr().out
-    assert rc == 0 and "[FAIL]" not in out, out
-    assert "29/29 checks passed" in out and "[PASS] srnet/parameter-liveness" in out, out
+    rc, out, checked = check_run
+    assert rc == 0, out
     unchecked = primitives - {OP_PRIMITIVE.get(op, op) for op in checked}
     assert not unchecked, f"no finite-difference check runs the backward of {sorted(unchecked)}"

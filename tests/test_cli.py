@@ -355,6 +355,13 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
         assert run(argv[1:at] + small + argv[at:]) == 0, argv
 
 
+def test_check_command_passes(check_run):
+    rc, out, _ = check_run
+    assert rc == 0
+    assert "[FAIL]" not in out
+    assert "29/29 checks passed" in out and "[PASS] srnet/parameter-liveness" in out, out
+
+
 def test_check_detects_injected_gradient_fault(tmp_path, monkeypatch, capsys):
     # corrupt the gelu derivative hook; the finite-difference checks must notice
     monkeypatch.setattr(T, "_gelu_grad", lambda x, phi: phi)
