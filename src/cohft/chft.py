@@ -21,6 +21,7 @@ MAGIC = b"CHFT"
 VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1}
+_MAX_NDIM = 64  # numpy's limit on an array's dimensions
 
 
 class FormatError(ValueError):
@@ -37,7 +38,6 @@ def require_finite(arr, what):
 
 
 def _encode(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr)
     if arr.dtype not in _CODES:
         raise FormatError(f"unsupported dtype {arr.dtype}")
     head = MAGIC + struct.pack("<HBB", VERSION, _CODES[arr.dtype], arr.ndim)
@@ -55,6 +55,8 @@ def _decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
         raise FormatError(f"unsupported version {version}")
     if code not in _DTYPES:
         raise FormatError(f"unknown dtype code {code}")
+    if ndim > _MAX_NDIM:
+        raise FormatError(f"{ndim} dimensions exceed numpy's {_MAX_NDIM}")
     if offset + 8 + 4 * ndim > len(buf):
         raise FormatError("truncated header")
     shape = struct.unpack_from(f"<{ndim}I", buf, offset + 8)
@@ -65,6 +67,10 @@ def _decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     end = start + count * dtype.itemsize
     if end > len(buf):
         raise FormatError("truncated payload")
+    # an empty array passes that check whatever its other extents, but numpy
+    # sizes it by its non-zero extents and refuses what it cannot index
+    if math.prod(filter(None, shape)) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise FormatError(f"extents {shape} exceed what numpy can index")
     # a view of buf; astype makes the one copy the caller owns
     arr = np.frombuffer(buf, dtype=dtype, count=count, offset=start).reshape(shape)
     return arr.astype(dtype.newbyteorder("=")), end

@@ -52,6 +52,8 @@ class ModelConfig:
                                   ("guidance", guide, "r h, r w")):
             if len(shape) != 3 or shape[2] != 1:
                 raise ShapeError(f"{name} must be [{form}, 1], got shape {tuple(shape)}")
+            if not shape[0] or not shape[1]:
+                raise ShapeError(f"{name} extents {shape[0]}x{shape[1]} are empty")
         h, w = lr[0], lr[1]
         problems = [f"extents {h}x{w} not divisible by {name}={n}"
                     for name, n in (("window side g", self.g), ("p_inter", self.p_inter))
@@ -222,17 +224,16 @@ def load_state_arrays(state, arrays: dict):
     taken as is, not copied, so the state owns it from then on.  NaN or inf
     in an entry is a FormatError.
 
-    An entry of a field that a module of the model dropped is ignored, but one
-    whose module (its name up to the last dot) holds no parameter of the model
-    is a FormatError: a checkpoint of a larger architecture, whose parameters
-    include every one of the smaller at the same shape, does not load into it.
+    A checkpoint is exactly the model's parameters: an entry that names none
+    is a FormatError, so a checkpoint of a larger architecture, whose
+    parameters include every one of the smaller at the same shape, does not
+    load into it.
     """
-    params = list(named_parameters(state))
-    modules = {name.rpartition(".")[0] for name, _ in params}
+    params = dict(named_parameters(state))
     for name in arrays:
-        if name.rpartition(".")[0] not in modules:
-            raise FormatError(f"checkpoint entry {name!r} belongs to no module of the model")
-    for name, t in params:
+        if name not in params:
+            raise FormatError(f"checkpoint entry {name!r} names no parameter of the model")
+    for name, t in params.items():
         if name not in arrays:
             raise FormatError(f"checkpoint is missing parameter {name!r}")
         arr = arrays[name]

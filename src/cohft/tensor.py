@@ -637,18 +637,19 @@ def _even(n, most):
     return -(-n // -(-n // most))
 
 
-def _strips(m, h, k, row_bytes):
+def _strips(m, h, k, row_bytes, runs=True):
     """Output strips (b0, b1, y0, y1) of a k x k conv over m maps of h rows, and
     the padded rows of the largest (the first).
 
     A strip holds as many padded rows of ``row_bytes`` as ``_STRIP_BYTES``
-    allows: an even run of whole images when one image fits, else an even
-    band of rows of one image (at least one row, plus k - 1 halo rows).
+    allows: an even run of whole images when one image fits (one image if
+    not ``runs``), else an even band of rows of one image (at least one row,
+    plus k - 1 halo rows).
     """
     hp = h + k - 1
     fit = _STRIP_BYTES // row_bytes
     if fit >= hp:
-        step = _even(max(m, 1), fit // hp)
+        step = _even(max(m, 1), fit // hp) if runs else 1
         return [(b, min(b + step, m), 0, h) for b in range(0, m, step)], step * hp
     step = _even(h, max(1, fit - (k - 1)))
     return [(b, b + 1, y, min(y + step, h)) for b in range(m) for y in range(0, h, step)], step + k - 1
@@ -660,16 +661,11 @@ def _padded_strips(arrays, spans, k, strips, rows):
     columns on each side and zero rows outside the maps.
 
     One buffer of ``rows`` padded rows serves every strip, so each array is
-    overwritten by the next.  With nothing to pad or join, the rows are read
-    in place.
+    overwritten by the next.
     """
     h, w = arrays[0].shape[1:3]
     c_in = spans[-1][1]
     pad = (k - 1) // 2
-    if not pad and len(arrays) == 1:
-        for b0, b1, y0, y1 in strips:
-            yield arrays[0][b0:b1, y0:y1].reshape(-1, c_in)
-        return
     # zeroed once: only map columns are written, so the pad columns stay zero
     buf = np.zeros((rows, w + 2 * pad, c_in), dtype=np.result_type(*arrays))
     for b0, b1, y0, y1 in strips:
@@ -765,8 +761,11 @@ def conv2d(xs, weights, bias):
     m = arrays[0].shape[0]
     out = np.empty((m, h, w, c_out), dtype=np.result_type(*arrays, wd, bias.data))
     wp = w + k - 1
-    # the forward, dx and dw strips hold the same c_in + c_out channels a row
-    strips, rows = _strips(m, h, k, wp * (c_in + c_out) * out.itemsize)
+    # the forward, dx and dw strips hold the same c_in + c_out channels a row.
+    # numpy runs a matmul of one output column, or of one row (a 1 x 1 map's
+    # strip), as a GEMV or a dot, whose rows round by how many there are: such
+    # a conv takes its images one strip each, so each keeps its bits in a batch
+    strips, rows = _strips(m, h, k, wp * (c_in + c_out) * out.itemsize, runs=c_out > 1 and h * w > 1)
     acc = np.empty((rows * wp, c_out), dtype=np.result_type(*arrays, wd))
     part = np.empty_like(acc)
     taps = [(i, j, wd[i, j]) for i in range(k) for j in range(k)]

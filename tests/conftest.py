@@ -14,6 +14,14 @@ settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
+def tape_primitives():
+    """The names of the functions of cohft.tensor that record a tape node themselves."""
+    return sorted(name for name, fn in vars(T).items()
+                  if not name.startswith("_") and getattr(fn, "__module__", None) == T.__name__
+                  and "_record" in getattr(getattr(fn, "__code__", None), "co_names", ()))
+
+
+@pytest.fixture(scope="session")
 def check_run(tmp_path_factory):
     """The one run of the passing suite in the tests: `cohft check`, through the command
     line. Returns its exit code, its output and the ops of every tape node whose backward

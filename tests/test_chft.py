@@ -2,8 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohft import chft
+from cohft.data import PhantomSpec, sample_images, save_images
+from cohft.model import init_model, preset, state_arrays
 
 
 def test_roundtrip_f64(tmp_path):
@@ -124,3 +128,68 @@ def test_huge_extents_are_truncated_payload(tmp_path):
     path.write_bytes(b"CHFT" + struct.pack("<HBB4I", 1, 0, 4, *[2 ** 31] * 4) + bytes(8))
     with pytest.raises(chft.FormatError, match="truncated payload"):
         chft.load_tensor(path)
+
+
+@pytest.fixture(scope="module")
+def real_files(tmp_path_factory):
+    """The bytes of a real checkpoint (tiny, f32, as train writes it) and of a
+    real image (a t2_lr, as gen-data writes it), and a directory to write in."""
+    where = tmp_path_factory.mktemp("real")
+    chft.save_container(where / "checkpoint.chft", state_arrays(init_model(preset("tiny"), dtype=np.float32)))
+    save_images(where, "sample", sample_images(PhantomSpec(side=24), 2))
+    return {"checkpoint": (where / "checkpoint.chft").read_bytes(),
+            "image": (where / "sample.t2_lr.chft").read_bytes()}, where
+
+
+def edited(raw, edits):
+    """``raw`` after each edit (kind, at, data) in turn: a flip of the byte at ``at``
+    by the mask ``data``, a truncation at ``at``, or the bytes ``data`` inserted at ``at``."""
+    buf = bytearray(raw)
+    for kind, at, data in edits:
+        if kind == "flip" and buf:
+            buf[at % len(buf)] ^= data
+        elif kind == "cut":
+            del buf[at % (len(buf) + 1):]
+        elif kind == "insert":
+            at %= len(buf) + 1
+            buf[at:at] = data
+    return bytes(buf)
+
+
+AT = st.one_of(st.integers(0, 40), st.integers(0, 1 << 16))  # headers lie near the start
+EDIT = st.one_of(st.tuples(st.just("flip"), AT, st.integers(1, 255)),
+                 st.tuples(st.just("cut"), AT, st.none()),
+                 st.tuples(st.just("insert"), AT, st.binary(min_size=1, max_size=12)))
+
+
+@settings(max_examples=200)
+@given(source=st.sampled_from(["checkpoint", "image"]), edits=st.lists(EDIT, min_size=1, max_size=3))
+# a header of 0 dimensions: a scalar, which the writer must not store as shape (1,)
+@example(source="image", edits=[("flip", 7, 3)])
+# a header of 70 dimensions, past numpy's 64, each of extent 1
+@example(source="image", edits=[("flip", 7, 3 ^ 70), ("insert", 8, struct.pack("<70I", *[1] * 70))])
+# 20 bytes: an empty image whose other two extents numpy cannot index
+@example(source="image", edits=[("insert", 8, struct.pack("<3I", 0, 4 * 10 ** 9, 4 * 10 ** 9)),
+                                ("cut", 20, None)])
+def test_edited_files_round_trip_or_are_format_errors(real_files, source, edits):
+    # truncations, byte flips and insertions of real files: each reader either
+    # returns arrays that its writer turns back into the same bytes, or refuses
+    # the bytes with a FormatError
+    raw, where = real_files
+    buf = edited(raw[source], edits)
+    path, back = where / "edited.chft", where / "back.chft"
+    path.write_bytes(buf)
+    try:
+        arr, end = chft._decode(buf)
+    except chft.FormatError:
+        pass
+    else:
+        assert chft._encode(arr) == buf[:end]
+    for load, save in ((chft.load_tensor, chft.save_tensor),
+                       (chft.load_container, lambda to, entries: chft.save_container(to, entries.items()))):
+        try:
+            read = load(path)
+        except chft.FormatError:
+            continue
+        save(back, read)
+        assert back.read_bytes() == buf

@@ -185,12 +185,10 @@ def test_zero_weighted_terms_stay_off_the_tape(tmp_path, monkeypatch, alpha, lam
     assert row["loss_c"] == f"{want:.8f}"
 
 
-def test_train_step_calls_every_primitive(tmp_path, monkeypatch):
+def test_train_step_calls_every_primitive(tmp_path, monkeypatch, tape_primitives):
     # a primitive that one f64 train step with both loss terms never calls has
     # no caller left, and goes
     data, out = gen(tmp_path, samples=1)
-    recording = sorted(name for name, fn in vars(T).items()
-                       if "_record" in getattr(getattr(fn, "__code__", None), "co_names", ()))
     called = set()
 
     def counted(name, fn):
@@ -199,13 +197,14 @@ def test_train_step_calls_every_primitive(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return primitive
 
-    for name in recording:
+    for name in tape_primitives:
         monkeypatch.setattr(T, name, counted(name, getattr(T, name)))
     assert run(["--set", f"data_dir={data}", "--set", "steps=1", "--set", "batch_size=1",
                 "--set", "precision=f64", "--set", "alpha=0.95", "--set", "lam=0.5",
                 "--out", str(out), "--seed", "0", "train"]) == 0
-    assert "attend" in recording and "conv2d" in recording
-    assert not set(recording) - called, f"no train step calls {sorted(set(recording) - called)}"
+    assert "attend" in tape_primitives and "conv2d" in tape_primitives
+    missed = sorted(set(tape_primitives) - called)
+    assert not missed, f"no train step calls {missed}"
 
 
 def test_eval_report(tmp_path):
@@ -559,7 +558,12 @@ def test_bad_sample_anywhere_stops_train_before_it_writes(tmp_path, capsys):
     # an image of rank 1 has no gradient map: the guidance is rejected by its shape
     ("t2_lr", np.ravel, "LR input must be [h, w, 1], got shape (144,)"),
     ("t1_hr", np.ravel, "guidance must be [r h, r w, 1], got shape (576,)"),
-], ids=["lr-2d", "lr-2-channels", "guidance-2-channels", "lr-1d", "guidance-1d"])
+    # an empty extent is named before any compute reads it
+    ("t2_lr", lambda a: a[:0, :0], "LR input extents 0x0 are empty"),
+    ("t2_lr", lambda a: a[:0, :6], "LR input extents 0x6 are empty"),
+    ("t1_hr", lambda a: a[:0, :0], "guidance extents 0x0 are empty"),
+], ids=["lr-2d", "lr-2-channels", "guidance-2-channels", "lr-1d", "guidance-1d", "lr-0x0", "lr-0x6",
+        "guidance-0x0"])
 def test_image_of_other_rank_or_channels_is_one_line_error(tmp_path, capsys, field, reshape, needle):
     # the second of two samples is bad; an earlier run in --out stays whole
     data, out = gen(tmp_path, samples=2)
@@ -729,7 +733,7 @@ def test_checkpoint_of_a_larger_preset_is_one_line_error(tmp_path, capsys):
     for args in (["--set", f"data_dir={data}", "--out", str(out), "eval", str(out / "checkpoint.chft")],
                  infer_args(data, out, sid)):
         assert_one_line_error(capsys, ["--set", "preset=S", *args],
-                              "checkpoint entry 'gate_main.rrdb.rdbs.2.convs.0.w' belongs to no module")
+                              "checkpoint entry 'gate_main.rrdb.rdbs.2.convs.0.w' names no parameter")
 
 
 def test_huge_extents_are_one_line_error(tmp_path, capsys):
@@ -744,6 +748,30 @@ def test_huge_extents_are_one_line_error(tmp_path, capsys):
     ckpt = out / "checkpoint.chft"
     assert_one_line_error(capsys, infer_args(data, out, sid, t2_lr=ckpt), f"{ckpt}: bad magic bytes")
     assert not (out / "i_out.chft").exists()
+
+
+@pytest.mark.parametrize("command, broken", [("eval", "checkpoint"), ("infer", "checkpoint"),
+                                             ("infer", "image")])
+def test_header_numpy_cannot_take_is_one_line_error(tmp_path, capsys, command, broken):
+    # a first entry of 70 dimensions, past numpy's 64, and a 20-byte empty image
+    # whose other two extents numpy cannot index
+    data, out = gen(tmp_path, samples=1)
+    assert run(["--set", f"data_dir={data}", "--set", "epochs=0", "--out", str(out), "train"]) == 0
+    (sid,) = read_manifest(data)
+    ckpt = out / "checkpoint.chft"
+    if broken == "checkpoint":
+        path, raw = ckpt, bytearray(ckpt.read_bytes())
+        raw[2 + struct.unpack_from("<H", raw)[0] + 7] = 70  # after the name, magic, version, dtype
+        needle = "70 dimensions exceed numpy's 64"
+    else:
+        path = tmp_path / "empty.t2_lr.chft"
+        raw = b"CHFT" + struct.pack("<HBB3I", 1, 0, 3, 0, 4 * 10 ** 9, 4 * 10 ** 9)
+        needle = "extents (0, 4000000000, 4000000000) exceed what numpy can index"
+    path.write_bytes(raw)
+    images = {"t2_lr": path} if broken == "image" else {}
+    args = {"eval": ["--set", f"data_dir={data}", "--out", str(out), "eval", str(ckpt)],
+            "infer": infer_args(data, out, sid, **images)}[command]
+    assert_one_line_error(capsys, args, f"{path}: {needle}")
 
 
 @pytest.mark.parametrize("command, broken", [("train", "image"), ("eval", "image"), ("infer", "image"),

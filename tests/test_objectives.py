@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy.signal import convolve2d
 
-from cohft.checks import (check_loss_gradients, check_separable_blur_matches_conv2d,
-                          finite_diff_check)
+from cohft.checks import check_loss_gradients, finite_diff_check
 from cohft.losses import (GRAD_EPS, SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW, LossConfig,
                           gradient_map, loss_c, loss_in, mse, objective, objective_extents, psnr,
                           ssim)
@@ -50,11 +49,6 @@ def test_ssim_matches_independent_oracle():
     b = np.clip(a + rng.normal(0, 0.05, a.shape), 0, 1)
     got = ssim(Tensor(a[:, :, None]), Tensor(b[:, :, None])).item()
     assert abs(got - ssim_oracle(a, b)) <= 1e-10
-
-
-def test_ssim_blur_matches_conv2d():
-    # ssim's one blur call against conv2d with the full 11x11 window, at f64
-    check_separable_blur_matches_conv2d(np.random.default_rng(9))
 
 
 def test_ssim_rejects_small_images():

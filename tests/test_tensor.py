@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cohft import tensor as T
@@ -227,24 +227,6 @@ def test_attend_matches_numpy_oracle(lead, n, n_k, e, f, seed):
             T.attend(*(Tensor(np.zeros(shape)) for shape in shapes))
 
 
-def test_layer_norm_moments_and_gradients():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((5, 6, 4)) * 3.0 + 2.0
-    gain = Tensor(np.ones(4), requires_grad=True)
-    shift = Tensor(np.zeros(4), requires_grad=True)
-    y = T.layer_norm(Tensor(x), gain, shift).data
-    assert np.all(np.abs(y.mean(-1)) <= 1e-10)
-    assert np.all(np.abs(y.var(-1) - 1.0) <= 1e-3)  # eps-regularized variance
-    xt = Tensor(x, requires_grad=True)
-    # a fixed random weighting: the sum of squares of a unit-gain output is
-    # constant in x up to eps, which leaves dx near zero
-    weight = Tensor(rng.standard_normal(x.shape))
-    def loss():
-        return T.tsum(T.layer_norm(xt, gain, shift) * weight)
-    for name, t in (("xt", xt), ("gain", gain), ("shift", shift)):
-        finite_diff_check(loss, [(name, t)], 5, rng, tol=1e-5)
-
-
 def test_layer_norm_matches_two_pass_reference():
     rng = np.random.default_rng(21)
     for lead, d, transposed in itertools.product([(), (3,), (2, 5)], [1, 2, 4, 16], [False, True]):
@@ -340,56 +322,6 @@ def conv_inputs(k, lead, dtype, seed):
     return x, w, b
 
 
-def test_conv2d_matches_oracle():
-    # one test over all cases (not pytest-parametrized) keeps its test id
-    for k, lead, dtype in itertools.product(CONV_CASES, [(), (2,)], CONV_TOL):
-        x, w, b = conv_inputs(k, lead, dtype, 12)
-        got = T.conv2d(x, w, b).data
-        assert got.dtype == dtype
-        xs = x.data.reshape((-1,) + x.shape[-3:])
-        want = np.stack([conv_oracle(xi.astype(np.float64), w.data.astype(np.float64),
-                                     b.data.astype(np.float64)) for xi in xs])
-        assert np.allclose(got.reshape(want.shape), want, rtol=0, atol=CONV_TOL[dtype])
-
-
-def test_conv2d_batched_equals_loop():
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal((4, 6, 6, 2))
-    w = Tensor(rng.standard_normal((3, 3, 2, 3)))
-    b = Tensor(rng.standard_normal(3))
-    batched = T.conv2d(Tensor(x), w, b).data
-    for i in range(4):
-        single = T.conv2d(Tensor(x[i]), w, b).data
-        assert np.array_equal(batched[i], single)
-
-
-def test_conv2d_pieces_equal_concatenated_input():
-    # channel pieces read as their concatenation: the same values, and each
-    # piece's gradient is its channel slice of the whole input's gradient
-    rng = np.random.default_rng(24)
-    widths = [2, 1, 3]
-    for k, lead, dtype in itertools.product([1, 3], [(), (2,)], [np.float32, np.float64]):
-        arrays = [rng.standard_normal(lead + (5, 7, c)).astype(dtype) for c in widths]
-        w = Tensor(rng.standard_normal((k, k, sum(widths), 4)).astype(dtype), requires_grad=True)
-        b = Tensor(rng.standard_normal(4).astype(dtype), requires_grad=True)
-        g = rng.standard_normal(lead + (5, 7, 4)).astype(dtype)
-        whole = Tensor(np.concatenate(arrays, axis=-1), requires_grad=True)
-        # the middle piece needs no gradient, as a raw input image would not
-        pieces = [Tensor(a, requires_grad=i != 1) for i, a in enumerate(arrays)]
-        with Tape() as tape:
-            want = T.conv2d(whole, w, b)
-            got = T.conv2d(pieces, w, b)
-        dx, dw, db = tape.nodes[0].backward_fn(g)
-        *dxs, dw_p, db_p = tape.nodes[1].backward_fn(g)
-        assert tape.nodes[1].inputs == (*pieces, w, b)
-        assert got.dtype == dtype and np.array_equal(got.data, want.data), (k, lead, dtype)
-        assert np.array_equal(dw_p, dw) and np.array_equal(db_p, db)
-        assert len(dxs) == 3 and dxs[1] is None
-        for dx_p, c0, c1 in zip(dxs, [0, 2, 3], [2, 3, 6]):
-            if dx_p is not None:
-                assert dx_p.dtype == dtype and np.array_equal(dx_p, dx[..., c0:c1])
-
-
 def test_conv2d_gradients():
     rng = np.random.default_rng(14)
     for k, lead in itertools.product(CONV_CASES, [(), (2,)]):
@@ -476,51 +408,83 @@ STRIP_BUDGETS = {
     "2 rows": lambda h, row, halo: (2 + halo) * row,
     "3 rows": lambda h, row, halo: (3 + halo) * row,
     "2 images": lambda h, row, halo: 2 * (h + halo) * row,
+    "default": lambda h, row, halo: T._STRIP_BYTES,
 }
 
 
-@settings(max_examples=60)
-@given(k=st.sampled_from([1, 3]), dtype=st.sampled_from([np.float32, np.float64]),
-       lead=st.sampled_from([(), (1,), (3,)]), widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
-       h=st.integers(1, 8), w=st.integers(1, 6), budget=st.sampled_from(sorted(STRIP_BUDGETS)),
+@settings(max_examples=250)
+@given(widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       const=st.integers(0, 3), c_out=st.sampled_from([1, 2, 3, 4, 5, 8]), k=st.sampled_from([1, 3, 5]),
+       dtype=st.sampled_from([np.float32, np.float64]), lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+       h=st.integers(1, 9), w=st.integers(1, 7), budget=st.sampled_from(sorted(STRIP_BUDGETS)),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_conv2d_strips_property(k, dtype, lead, widths, h, w, budget, seed):
-    # conv2d with the strip budget cut to a few rows or images, so one call
-    # walks many strips, halo rows and uneven last strips included
+# batches whose images alone make GEMMs that numpy runs as GEMVs: of one row
+# (a 1 x 1 map), and of one column (c_out = 1)
+@example(widths=[1, 1], const=0, c_out=4, k=1, dtype=np.float64, lead=(3,), h=1, w=1,
+         budget="2 images", seed=1)
+@example(widths=[1, 2], const=0, c_out=1, k=1, dtype=np.float32, lead=(3,), h=1, w=2,
+         budget="2 images", seed=1)
+# an 11x11 kernel, nearly as wide as its 12x14 map
+@example(widths=[2, 1], const=1, c_out=2, k=11, dtype=np.float64, lead=(2,), h=12, w=14,
+         budget="default", seed=12)
+@example(widths=[3], const=3, c_out=2, k=11, dtype=np.float32, lead=(), h=12, w=14,
+         budget="default", seed=12)
+def test_conv2d_strips_property(widths, const, c_out, k, dtype, lead, h, w, budget, seed):
+    # conv2d's values and gradients on one to three channel pieces, the piece
+    # `const` (if there is one) needing no gradient, with the strip budget cut
+    # to a few rows or images, so one call walks many strips, halo rows and
+    # uneven last strips included, or left as it is
+    from scipy.signal import convolve, correlate
     rng = np.random.default_rng(seed)
-    c_in, c_out = sum(widths), 2
+    c_in = sum(widths)
     arrays = [rng.standard_normal(lead + (h, w, c)).astype(dtype) for c in widths]
     wt = Tensor(rng.standard_normal((k, k, c_in, c_out)).astype(dtype), requires_grad=True)
     b = Tensor(rng.standard_normal(c_out).astype(dtype), requires_grad=True)
     g = rng.standard_normal(lead + (h, w, c_out)).astype(dtype)
+    pieces = [Tensor(a, requires_grad=i != const) for i, a in enumerate(arrays)]
+    whole = Tensor(np.concatenate(arrays, axis=-1), requires_grad=True)
     row = (w + k - 1) * (c_in + c_out) * np.dtype(dtype).itemsize
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "_STRIP_BYTES", STRIP_BUDGETS[budget](h, row, k - 1))
-        pieces = [Tensor(a, requires_grad=True) for a in arrays]
-        whole = Tensor(np.concatenate(arrays, axis=-1), requires_grad=True)
         with Tape() as tape:
             got = T.conv2d(pieces, wt, b)
             want = T.conv2d(whole, wt, b)
         *dxs, dw, db = tape.nodes[0].backward_fn(g)
-        dx_w, dw_w, db_w = tape.nodes[1].backward_fn(g)
-        # the values are the direct correlation's
-        xs = whole.data.reshape((-1, h, w, c_in)).astype(np.float64)
-        oracle = np.stack([conv_oracle(xi, wt.data.astype(np.float64), b.data.astype(np.float64))
-                           for xi in xs])
-        assert np.allclose(got.data.reshape(oracle.shape), oracle, rtol=0, atol=CONV_TOL[dtype])
-        # pieces are their join, bit for bit, values and gradients
-        assert np.array_equal(got.data, want.data)
-        assert np.array_equal(dw, dw_w) and np.array_equal(db, db_w)
-        assert np.array_equal(np.concatenate(dxs, axis=-1), dx_w)
-        # a batch is its images one by one, bit for bit
-        for i, xi in enumerate(whole.data.reshape((-1, h, w, c_in))):
-            single = T.conv2d(Tensor(xi), wt, b).data
-            assert np.array_equal(single, got.data.reshape((-1, h, w, c_out))[i])
+        dx, dw_w, db_w = tape.nodes[1].backward_fn(g)
+        singles = [T.conv2d(Tensor(xi), wt, b).data for xi in whole.data.reshape((-1, h, w, c_in))]
+        plain = T.conv2d(pieces, wt, Tensor(np.zeros_like(b.data))).data
         if dtype == np.float64:
             def loss():
                 return T.tsum(T.square(T.conv2d(pieces, wt, b)))
-            params = [(f"x{i}", p) for i, p in enumerate(pieces)] + [("w", wt), ("b", b)]
-            finite_diff_check(loss, params, 6, rng, tol=1e-5)
+            params = [(f"x{i}", p) for i, p in enumerate(pieces) if p.requires_grad]
+            finite_diff_check(loss, params + [("w", wt), ("b", b)], 6, rng, tol=1e-5)
+    # the values are the "same" correlation of the odd kernel, and the input
+    # gradient its adjoint, the "same" convolution, each [h, w] map of [m, h, w]
+    # on its own as the kernel is [1, k, k]
+    xs, gs = (a.reshape((-1, h, w, a.shape[-1])).astype(np.float64) for a in (whole.data, g))
+    w64 = wt.data.astype(np.float64)[None]
+    want_y = np.stack([sum(correlate(xs[..., ci], w64[..., ci, co], mode="same") for ci in range(c_in))
+                       + b.data[co] for co in range(c_out)], axis=-1)
+    want_dx = np.stack([sum(convolve(gs[..., co], w64[..., ci, co], mode="same") for co in range(c_out))
+                        for ci in range(c_in)], axis=-1)
+    assert got.dtype == dtype and got.shape == lead + (h, w, c_out) and dx.dtype == dtype
+    for y, ref in ((got.data, want_y), (dx, want_dx)):
+        assert np.allclose(y.reshape(ref.shape), ref, rtol=0, atol=CONV_TOL[dtype])
+    # pieces are their join, bit for bit, values and gradients; the node reads
+    # the pieces, and the constant one gets no gradient
+    assert tape.nodes[0].inputs == (*pieces, wt, b)
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(dw, dw_w) and np.array_equal(db, db_w)
+    assert len(dxs) == len(pieces)
+    for i, (dx_p, c1) in enumerate(zip(dxs, itertools.accumulate(widths))):
+        if i == const:
+            assert dx_p is None
+        else:
+            assert dx_p.dtype == dtype and np.array_equal(dx_p, dx[..., c1 - widths[i]:c1])
+    # a batch is its images one by one, bit for bit
+    assert np.array_equal(np.stack(singles), got.data.reshape((-1, h, w, c_out)))
+    # the bias add is the bias-free conv plus the bias, bit for bit
+    assert np.array_equal(got.data, plain + b.data)
 
 
 def test_conv2d_strips_cover_the_output_once():
@@ -575,66 +539,6 @@ def test_attend_backward_scratch_is_one_strip():
         # dO is w times the ones of tsum's backward
         bound = sum(grads[t].nbytes for t in (q, k, v)) + w.data.nbytes + 2 * T._STRIP_BYTES
         assert peak < bound, (shape, peak, bound)
-
-
-@settings(max_examples=60)
-@given(one=st.sampled_from(["c_in", "c_out"]), c=st.integers(1, 5), k=st.sampled_from([1, 3, 5]),
-       dtype=st.sampled_from([np.float32, np.float64]), lead=st.sampled_from([(), (1,), (3,)]),
-       h=st.integers(1, 9), w=st.integers(1, 7), budget=st.sampled_from(sorted(STRIP_BUDGETS)),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_one_channel_conv2d_matches_scipy_correlate(one, c, k, dtype, lead, h, w, budget, seed):
-    # a c_in = 1 forward and a c_out = 1 input gradient run on one-channel
-    # strips; with the strip budget cut to a few rows or images, one call
-    # walks many strips, halo rows and uneven last strips included
-    from scipy.signal import convolve, correlate
-    rng = np.random.default_rng(seed)
-    c_in, c_out = (1, c) if one == "c_in" else (c, 1)
-    x = Tensor(rng.standard_normal(lead + (h, w, c_in)).astype(dtype), requires_grad=True)
-    wt = Tensor(rng.standard_normal((k, k, c_in, c_out)).astype(dtype), requires_grad=True)
-    b = Tensor(rng.standard_normal(c_out).astype(dtype), requires_grad=True)
-    g = rng.standard_normal(lead + (h, w, c_out)).astype(dtype)
-    row = (w + k - 1) * (c_in + c_out) * np.dtype(dtype).itemsize
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "_STRIP_BYTES", STRIP_BUDGETS[budget](h, row, k - 1))
-        with Tape() as tape:
-            out = T.conv2d(x, wt, b)
-        dx = tape.nodes[0].backward_fn(g)[0]
-    xs, gs = (a.reshape((-1, h, w, a.shape[-1])).astype(np.float64) for a in (x.data, g))
-    w64 = wt.data.astype(np.float64)
-    # "same" correlation of the odd kernel; its adjoint is the "same" convolution
-    want = np.stack([[sum(correlate(xi[..., ci], w64[..., ci, co], mode="same") for ci in range(c_in))
-                      + b.data[co] for co in range(c_out)] for xi in xs])
-    want_dx = np.stack([[sum(convolve(gi[..., co], w64[..., ci, co], mode="same") for co in range(c_out))
-                         for ci in range(c_in)] for gi in gs])
-    assert out.dtype == dtype and dx.dtype == dtype
-    for got, ref in ((out.data, want), (dx, want_dx)):
-        got = got.reshape((-1, h, w, ref.shape[1])).transpose(0, 3, 1, 2)
-        assert np.allclose(got, ref, rtol=0, atol=CONV_TOL[dtype])
-
-
-@settings(max_examples=60)
-@given(widths=st.sampled_from([(1,), (2,), (5,), (1, 1), (3, 2), (1, 2, 2)]), c_out=st.sampled_from([1, 3, 8]),
-       k=st.sampled_from([1, 3]), dtype=st.sampled_from([np.float32, np.float64]),
-       lead=st.sampled_from([(), (1,), (3,), (2, 2)]), h=st.integers(1, 8), w=st.integers(1, 7),
-       budget=st.sampled_from(sorted(STRIP_BUDGETS)), seed=st.integers(0, 2 ** 32 - 1))
-def test_conv2d_bias_add_is_the_bias_free_conv_plus_bias(widths, c_out, k, dtype, lead, h, w, budget, seed):
-    # the forward adds the bias tiled along whole strip rows, or as is on a
-    # one-channel strip (widths (1,)) or to one output channel: bit for bit the
-    # bias-free conv plus the broadcast bias, on one piece or several, with the
-    # strip budget cut to a few rows or images
-    rng = np.random.default_rng(seed)
-    c_in = sum(widths)
-    arrays = [rng.standard_normal(lead + (h, w, c)).astype(dtype) for c in widths]
-    wt = Tensor(rng.standard_normal((k, k, c_in, c_out)).astype(dtype))
-    b = rng.standard_normal(c_out).astype(dtype)
-    row = (w + k - 1) * (c_in + c_out) * np.dtype(dtype).itemsize
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "_STRIP_BYTES", STRIP_BUDGETS[budget](h, row, k - 1))
-        pieces = [Tensor(a) for a in arrays]
-        got = T.conv2d(pieces, wt, Tensor(b)).data
-        plain = T.conv2d(pieces, wt, Tensor(np.zeros_like(b))).data
-    assert got.dtype == dtype and got.shape == lead + (h, w, c_out)
-    assert np.array_equal(got, plain + b)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
