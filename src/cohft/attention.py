@@ -46,8 +46,9 @@ class AttentionWeights:
 
 
 def _uniform(rng, shape, fan_in, dtype, zero=False):
-    """U(+-1/sqrt(fan_in)) weights; zeros, drawing nothing, for a path's last layer at safe start."""
-    if zero:
+    """U(+-1/sqrt(fan_in)) weights; zeros, drawing nothing, for a path's last layer at safe
+    start, or for every weight when there is no generator (rng None)."""
+    if zero or rng is None:
         return _zeros(shape, dtype)
     bound = 1.0 / np.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, shape).astype(dtype), requires_grad=True)

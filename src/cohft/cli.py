@@ -12,7 +12,6 @@ import numpy as np
 
 from . import chft
 from . import tensor as T
-from .checks import run_all_checks
 from .config import ConfigError, RunConfig, load_config
 from .data import PhantomSpec, generate_dataset, load_inputs, load_pair, read_manifest
 from .losses import LossConfig, objective, objective_extents, psnr, ssim
@@ -27,9 +26,10 @@ def _dtype(cfg: RunConfig):
     return np.float32 if cfg.precision == "f32" else np.float64
 
 
-def _model(cfg: RunConfig):
+def _model(cfg: RunConfig, seed):
+    """The configured preset and its state, drawn from ``seed`` (None: zeros, drawing nothing)."""
     mc = preset(cfg.preset, r=cfg.r)
-    state = init_model(mc, seed=cfg.seed, dtype=_dtype(cfg))
+    state = init_model(mc, seed=seed, dtype=_dtype(cfg))
     return mc, state
 
 
@@ -106,7 +106,7 @@ def train_step(batch, state, mc, lcfg):
 def cmd_train(cfg: RunConfig):
     ids = read_manifest(cfg.data_dir)
     pairs = [(sid, load_pair(cfg.data_dir, sid)) for sid in ids]
-    mc, state = _model(cfg)
+    mc, state = _model(cfg, cfg.seed)
     lcfg = LossConfig(alpha=cfg.alpha, lam=cfg.lam)
     for sid, pair in pairs:  # every sample, before --out is touched
         with _naming(sid):
@@ -152,7 +152,7 @@ def cmd_train(cfg: RunConfig):
 
 
 def _load_checkpoint(cfg, path):
-    mc, state = _model(cfg)
+    mc, state = _model(cfg, None)  # every parameter comes from the checkpoint: draw none
     load_state_arrays(state, chft.load_container(path))
     return mc, state
 
@@ -206,6 +206,7 @@ def cmd_infer(cfg: RunConfig, checkpoint, t2_lr_path, t1_hr_path):
 
 
 def cmd_check(cfg: RunConfig):
+    from .checks import run_all_checks  # the suite is loaded by the one command that runs it
     results = run_all_checks(cfg.seed)
     failed = 0
     for r in results:

@@ -61,7 +61,11 @@ def _coerce(key, raw):
 def load_config(path=None, overrides=()):
     values = dict(_DEFAULTS)
     if path is not None:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: byte {exc.start} is not UTF-8") from None
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

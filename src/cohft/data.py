@@ -138,7 +138,10 @@ def write_manifest(directory, sample_ids):
 
 def read_manifest(directory):
     path = Path(directory, "manifest.txt")
-    ids = path.read_text().split()
+    try:
+        ids = path.read_text(encoding="utf-8").split()
+    except UnicodeDecodeError as exc:
+        raise chft.FormatError(f"{path}: byte {exc.start} is not UTF-8") from None
     if not ids:
         raise chft.FormatError(f"{path} lists no samples")
     return ids

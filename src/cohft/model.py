@@ -167,7 +167,13 @@ class ModelState:
 
 
 def init_model(cfg: ModelConfig, seed=0, dtype=np.float64, safe_start=True):
-    rng = np.random.default_rng(seed)
+    """The parameters of ``cfg``, each drawn weight U(+-1/sqrt(fan_in)) from ``seed``.
+
+    With seed None no generator is created and nothing is drawn: every such
+    weight is zero.  That state is a skeleton for a checkpoint to fill, which
+    load_state_arrays does whole or refuses.
+    """
+    rng = None if seed is None else np.random.default_rng(seed)
     d = cfg.d
 
     def gate():

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import cohft
-from cohft import chft, cli
+from cohft import checks, chft, cli
 from cohft import tensor as T
 from cohft.checks import ALL_CHECKS, CheckResult
+from cohft.config import load_config
 from cohft.data import (PhantomSpec, load_pair, read_manifest, sample_images, save_images,
                         write_manifest)
 from cohft.losses import LossConfig, gradient_map, loss_c, objective, ssim
@@ -346,8 +347,8 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
     assert [argv[0] for argv in commands] == ["cohft"] * 5, commands
     small = ["--set", "samples=2", "--set", "side=24", "--set", "steps=2", "--set", "batch_size=2"]
     monkeypatch.chdir(tmp_path)
-    # `cohft check` need only parse and report here: test_checks.py runs the suite itself
-    monkeypatch.setattr(cli, "run_all_checks",
+    # `cohft check` need only parse and report here: the check_run fixture runs the suite itself
+    monkeypatch.setattr(checks, "run_all_checks",
                         lambda seed: [CheckResult(name, True) for name, _ in ALL_CHECKS])
     for argv in commands:
         at = next(i for i, arg in enumerate(argv) if arg in ("gen-data", "train", "eval", "infer", "check"))
@@ -801,15 +802,51 @@ def test_empty_manifest_is_one_line_error(tmp_path, capsys, command):
                           "manifest.txt lists no samples")
 
 
-def test_cli_import_leaves_scipy_ndimage_unloaded():
-    # importing the CLI loads no scipy.ndimage
+def test_undecodable_manifest_is_one_line_error(tmp_path, capsys):
+    data, out = gen(tmp_path, samples=1)
+    manifest = data / "manifest.txt"
+    manifest.write_bytes(b"sample_00000\n\xff\n")
+    ckpt = tmp_path / "ckpt.chft"
+    chft.save_container(ckpt, state_arrays(init_model(preset("tiny", r=2), dtype=np.float32)))
+    assert_one_line_error(capsys, ["--set", f"data_dir={data}", "--out", str(out), "eval", str(ckpt)],
+                          f"{manifest}: byte 13 is not UTF-8")
+
+
+def test_undecodable_config_file_is_one_line_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"seed = 1\n# \xff\n")
+    assert_one_line_error(capsys, ["--config", str(config), "--out", str(tmp_path / "out"), "check"],
+                          f"{config}: byte 11 is not UTF-8")
+
+
+def test_cli_import_loads_no_checks_numpy_random_or_scipy_ndimage():
+    # only `cohft check` needs the suite, and only drawing commands need numpy.random
     src = str(Path(cohft.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, cohft.cli; print('scipy.ndimage' in sys.modules)"
+    code = ("import sys, cohft.cli; "
+            "print([m for m in ('cohft.checks', 'numpy.random', 'scipy.ndimage') if m in sys.modules])")
     run_ = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run_.returncode == 0, run_.stderr
-    assert run_.stdout.strip() == "False"
+    assert run_.stdout.strip() == "[]"
+
+
+def test_eval_and_infer_restore_a_checkpoint_without_drawing(tmp_path, monkeypatch):
+    data, out = gen(tmp_path, samples=1)
+    saved = state_arrays(init_model(preset("tiny", r=2), seed=5, dtype=np.float32, safe_start=False))
+    ckpt = out / "checkpoint.chft"
+    chft.save_container(ckpt, saved)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a checkpoint's model was drawn")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    _, state = cli._load_checkpoint(load_config(), ckpt)
+    loaded = state_arrays(state)
+    assert [name for name, _ in loaded] == [name for name, _ in saved]
+    for (name, got), (_, want) in zip(loaded, saved):
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert run(["--set", f"data_dir={data}", "--out", str(out), "eval", str(ckpt)]) == 0
+    assert run(infer_args(data, out, read_manifest(data)[0])) == 0
 
 
 def test_train_eval_infer_load_no_scipy(tmp_path):

@@ -275,21 +275,6 @@ def test_constant_operands_get_no_gradient():
             assert np.array_equal(gx, gx_ref), (op.__name__, const_first)
 
 
-def test_conv2d_skips_gradient_of_constant_input():
-    rng = np.random.default_rng(23)
-    for k in CONV_CASES:
-        x, w, b = conv_inputs(k, (2,), np.float64, 23)
-        g = rng.standard_normal(x.shape[:-1] + (2,))
-        grads = []
-        for x_t in (Tensor(x.data), x):
-            with Tape() as tape:
-                T.conv2d(x_t, w, b)
-            grads.append(tape.nodes[-1].backward_fn(g))
-        (dx, dw, db), (dx_ref, dw_ref, db_ref) = grads
-        assert dx is None and dx_ref is not None
-        assert np.array_equal(dw, dw_ref) and np.array_equal(db, db_ref), k
-
-
 def conv_oracle(x, w, b, stride=1, pad=None):
     """Direct cross-correlation of one [h, w, c_in] map; "same" padding by default."""
     h, wd, cin = x.shape
